@@ -390,6 +390,104 @@ func BenchmarkPoolRouteTraceOverhead(b *testing.B) {
 	}
 }
 
+// Allocation pins of the engine core: a warm engine's search allocates
+// only what it returns. A found Route returns one *Path with its door,
+// partition and arrival slices; a skeleton family is the family value,
+// its chain slice, and per chain the *Skeleton with its door, partition
+// and leg slices.
+const (
+	routeAllocs          = 4
+	familyAllocs         = 2
+	familyAllocsPerChain = 4
+)
+
+var allocMethods = []struct {
+	name string
+	m    indoorpath.Method
+}{
+	{"ITG-S", indoorpath.MethodSyn},
+	{"ITG-A", indoorpath.MethodAsyn},
+	{"Static", indoorpath.MethodStatic},
+}
+
+// BenchmarkEngineRouteAllocs pins Engine.Route on the mall testbed at
+// routeAllocs allocations per query once the engine is warm (its dense
+// search state sized by a first search). The benchmark self-checks
+// every testbed query under every method, so a regression fails the
+// bench run rather than just shifting a number.
+func BenchmarkEngineRouteAllocs(b *testing.B) {
+	tb := newTestbed(b, 5, 8, 1500, indoorpath.Clock(12, 0, 0))
+	tb.graph.Snapshots().BuildAll()
+	for _, am := range allocMethods {
+		b.Run(am.name, func(b *testing.B) {
+			e := indoorpath.NewEngine(tb.graph, indoorpath.Options{Method: am.m})
+			for _, q := range tb.queries { // warm-up: sizes the search state
+				if _, _, err := e.RouteOrNil(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i, q := range tb.queries {
+				if got := testing.AllocsPerRun(20, func() { e.RouteOrNil(q) }); got > routeAllocs {
+					b.Fatalf("query %d: warm Route allocates %v allocs/op, want <= %d", i, got, routeAllocs)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.RouteOrNil(tb.queries[i%len(tb.queries)])
+			}
+		})
+	}
+}
+
+// BenchmarkSkeletonFamilyAllocs pins Engine.BuildSkeletonFamily on the
+// testbed queries' partition pairs at familyAllocs plus
+// familyAllocsPerChain per chain once the engine is warm: the per-entry
+// Dijkstra runs reuse the engine's search state. Self-checking like
+// BenchmarkEngineRouteAllocs.
+func BenchmarkSkeletonFamilyAllocs(b *testing.B) {
+	tb := newTestbed(b, 5, 8, 1500, indoorpath.Clock(12, 0, 0))
+	v := tb.graph.Venue()
+	type pair struct{ src, tgt indoorpath.PartitionID }
+	var pairs []pair
+	for _, q := range tb.queries {
+		sp, ok1 := v.Locate(q.Source)
+		tp, ok2 := v.Locate(q.Target)
+		if !ok1 || !ok2 {
+			b.Fatal("testbed query endpoint not indoor")
+		}
+		pairs = append(pairs, pair{sp, tp})
+	}
+	at := indoorpath.Clock(12, 0, 0)
+	for _, am := range allocMethods {
+		b.Run(am.name, func(b *testing.B) {
+			e := indoorpath.NewEngine(tb.graph, indoorpath.Options{Method: am.m})
+			chains := 0
+			for i, p := range pairs {
+				fam := e.BuildSkeletonFamily(p.src, p.tgt, at) // also the warm-up
+				if fam == nil {
+					continue
+				}
+				chains += len(fam.Chains)
+				want := float64(familyAllocs + familyAllocsPerChain*len(fam.Chains))
+				if got := testing.AllocsPerRun(5, func() { e.BuildSkeletonFamily(p.src, p.tgt, at) }); got > want {
+					b.Fatalf("pair %d: warm family build allocates %v allocs/op for %d chains, want <= %v",
+						i, got, len(fam.Chains), want)
+				}
+			}
+			if chains == 0 {
+				b.Fatal("no testbed pair built a family: the pin checked nothing")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				e.BuildSkeletonFamily(p.src, p.tgt, at)
+			}
+		})
+	}
+}
+
 // BenchmarkPoolRouteBatch measures the batch path: one RouteBatch call
 // fanning a mixed-time batch (with duplicates) out over the worker
 // group, with deduplication and caching enabled — the expected serving

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"indoorpath/internal/geom"
 	"indoorpath/internal/itgraph"
 	"indoorpath/internal/model"
 	"indoorpath/internal/pqueue"
@@ -71,9 +72,11 @@ type SearchStats struct {
 	PartitionsVisited int          `json:"partitions_visited"`
 	HeapMax           int          `json:"heap_max"`
 	Checker           CheckerStats `json:"checker"`
-	// BytesEstimate models the search working set: distance/parent map
-	// entries, heap slots, the visited sets, and (for ITG/A) the
-	// snapshots consulted. It is the deterministic memory metric behind
+	// BytesEstimate models the search working set: the dense per-handle
+	// state of every touched handle (bytesPerHandle each), the heap's
+	// high-water slots, the visited-partition marks and (for ITG/A) the
+	// snapshots consulted. It grows with the work a search does, not
+	// with the venue, and is the deterministic memory metric behind
 	// Fig. 7; the harness also reports live heap allocations.
 	BytesEstimate int     `json:"bytes_estimate"`
 	Found         bool    `json:"found"`
@@ -81,41 +84,112 @@ type SearchStats struct {
 	PathLength    float64 `json:"path_length"`
 }
 
-// searchState is the mutable working set of one ITSPQ search: the
-// frontier heap, the tentative distances, the parent chains and the
-// settled/visited marks. It is extracted from Engine so engines are
-// cheap to construct and pool (service.Pool keeps warm engines in a
-// sync.Pool); the maps are allocated on first use and cleared — not
-// reallocated — between queries, so a pooled engine reuses its
-// hash-table capacity across queries.
+// Working-set model of SearchStats.BytesEstimate, in bytes: a touched
+// handle owns a distance (8), a parent door (4), a parent partition
+// (4), its distance and settled stamps (4+4) and a heap position (4);
+// a heap slot is one pqueue.Item; a visited partition one stamp.
+const (
+	bytesPerHandle    = 28
+	bytesPerHeapSlot  = 16
+	bytesPerPartition = 4
+)
+
+// searchState is the mutable working set of one door-graph search,
+// dense over the handles 0..DoorCount+1 (door IDs, then the source and
+// target sentinels): the frontier heap, tentative distances, parent
+// chains, settled marks and visited-partition marks. An entry counts
+// only when its stamp equals the current epoch, so reset is O(1):
+// bumping the epoch forgets the previous search without touching the
+// slices. The state is sized to the venue on the engine's first search
+// and reused by every later Route, RouteMany, RouteManyTo and skeleton
+// family build, so a warm engine's searches allocate nothing but their
+// results.
 type searchState struct {
 	heap     *pqueue.Heap
-	dist     map[int32]float64
-	prevDoor map[int32]int32
-	prevPart map[int32]model.PartitionID
-	settled  map[int32]bool
-	visited  map[model.PartitionID]bool
+	epoch    uint32
+	seen     []uint32 // per handle: dist, prevDoor and prevPart are set
+	done     []uint32 // per handle: settled
+	visited  []uint32 // per partition
+	grouped  []uint32 // per partition: holds a grouped endpoint (shared runs)
+	dist     []float64
+	prevDoor []int32
+	prevPart []model.PartitionID
+	touched  int // handles seen this search
+
+	root [1]model.Arc // the virtual arc out of (or into) the root point
+
+	// Reused scratch of shared runs and skeleton family builds.
+	bests   []bestEntry
+	doors   []model.DoorID
+	anchors []model.DoorID
+	chains  []*Skeleton
 }
 
-func newSearchState() *searchState {
+func newSearchState(v *model.Venue) *searchState {
+	n := v.DoorCount() + 2
 	return &searchState{
-		heap:     pqueue.New(64),
-		dist:     map[int32]float64{},
-		prevDoor: map[int32]int32{},
-		prevPart: map[int32]model.PartitionID{},
-		settled:  map[int32]bool{},
-		visited:  map[model.PartitionID]bool{},
+		heap:     pqueue.New(n),
+		seen:     make([]uint32, n),
+		done:     make([]uint32, n),
+		visited:  make([]uint32, v.PartitionCount()),
+		grouped:  make([]uint32, v.PartitionCount()),
+		dist:     make([]float64, n),
+		prevDoor: make([]int32, n),
+		prevPart: make([]model.PartitionID, n),
 	}
 }
 
-// reset clears the state for the next query, keeping allocations.
+// reset forgets the previous search in O(1).
 func (st *searchState) reset() {
 	st.heap.Reset()
-	clear(st.dist)
-	clear(st.prevDoor)
-	clear(st.prevPart)
-	clear(st.settled)
-	clear(st.visited)
+	st.touched = 0
+	st.epoch++
+	if st.epoch == 0 { // wrapped: stale stamps could collide, so clear them
+		clear(st.seen)
+		clear(st.done)
+		clear(st.visited)
+		clear(st.grouped)
+		st.epoch = 1
+	}
+}
+
+// improve records distance d for handle h via (prev, part) and queues h
+// when h has no distance yet or d is strictly shorter, reporting
+// whether it did.
+func (st *searchState) improve(h int32, d float64, prev int32, part model.PartitionID) bool {
+	if st.seen[h] == st.epoch {
+		if !(d < st.dist[h]) {
+			return false
+		}
+	} else {
+		st.seen[h] = st.epoch
+		st.touched++
+	}
+	st.dist[h] = d
+	st.prevDoor[h] = prev
+	st.prevPart[h] = part
+	st.heap.Push(h, d)
+	return true
+}
+
+// settle marks h settled, reporting false when it already was.
+func (st *searchState) settle(h int32) bool {
+	if st.done[h] == st.epoch {
+		return false
+	}
+	st.done[h] = st.epoch
+	return true
+}
+
+func (st *searchState) settled(h int32) bool { return st.done[h] == st.epoch }
+
+// visit marks partition w visited, reporting whether it is new.
+func (st *searchState) visit(w model.PartitionID) bool {
+	if st.visited[w] == st.epoch {
+		return false
+	}
+	st.visited[w] = st.epoch
+	return true
 }
 
 // Engine answers ITSPQ queries over one IT-Graph. It keeps reusable
@@ -125,15 +199,15 @@ func (st *searchState) reset() {
 // distance matrices and snapshot series are all safe for concurrent
 // readers — and service.Pool packages exactly that pattern: it keeps
 // warm engines in a sync.Pool and checks one out per query. NewEngine
-// is deliberately cheap (search maps are allocated lazily on the first
-// Route), so pooling engines costs little more than pooling the maps
-// themselves.
+// is deliberately cheap: the dense search state (44 bytes per door,
+// heap included) is allocated on the first search and reused by every
+// later one.
 type Engine struct {
 	g       *itgraph.Graph
 	v       *model.Venue
 	opts    Options
 	checker AccessChecker
-	st      *searchState // lazily allocated on first Route
+	st      *searchState // lazily allocated on the first search
 }
 
 // NewEngine builds an engine for the graph with the given options.
@@ -160,12 +234,55 @@ func (e *Engine) Graph() *itgraph.Graph { return e.g }
 // MethodName returns the display name of the configured method.
 func (e *Engine) MethodName() string { return e.checker.Name() }
 
-func (e *Engine) reset() {
+// reset readies the search state for a new search, allocating it on
+// the engine's first search.
+func (e *Engine) reset() *searchState {
 	if e.st == nil {
-		e.st = newSearchState()
-		return
+		e.st = newSearchState(e.v)
 	}
 	e.st.reset()
+	return e.st
+}
+
+// begin starts a checked search departing at t0: the state is reset,
+// the checker positioned, and under EagerHeapInit every door enters the
+// heap at ∞ (the literal initialisation of Algorithm 1 lines 2–5).
+func (e *Engine) begin(t0 temporal.TimeOfDay, speed float64) *searchState {
+	st := e.reset()
+	e.checker.Begin(t0, speed)
+	if e.opts.EagerHeapInit {
+		inf := math.Inf(1)
+		for d := 0; d < e.v.DoorCount(); d++ {
+			st.heap.Push(int32(d), inf)
+		}
+	}
+	return st
+}
+
+// arcsOut returns the arcs to walk out of settled handle h and the
+// partition they must leave (callers skip arcs whose From differs):
+// for a door, its stored arcs and the partition it was entered from —
+// Algorithm 1 line 27's v′, arc-exact like model.Venue.NextPartitions
+// but without building a slice; for the root handle, one virtual arc
+// into rootPart.
+func (e *Engine) arcsOut(h, rootH int32, rootPart model.PartitionID) ([]model.Arc, model.PartitionID) {
+	if h == rootH {
+		e.st.root[0] = model.Arc{From: model.NoPartition, To: rootPart}
+		return e.st.root[:], model.NoPartition
+	}
+	return e.v.Door(model.DoorID(h)).Arcs, e.st.prevPart[h]
+}
+
+// usefulDoor is the early privacy prune (Algorithm 1 line 28): door d
+// of w is worth relaxing only if some partition it leads to from w is
+// the source's, the target's, or public.
+func (e *Engine) usefulDoor(d model.DoorID, w, srcPart, tgtPart model.PartitionID) bool {
+	for _, a := range e.v.Door(d).Arcs {
+		if a.From == w && (a.To == srcPart || a.To == tgtPart || !e.v.Partition(a.To).Kind.IsPrivate()) {
+			return true
+		}
+	}
+	return false
 }
 
 // legDist returns the intra-partition distance between two doors of
@@ -201,26 +318,16 @@ func (e *Engine) Route(q Query) (*Path, SearchStats, error) {
 	t0 := q.At.Mod()
 	speed := q.speed()
 
-	e.reset()
-	e.checker.Begin(t0, speed)
-
+	st := e.begin(t0, speed)
 	srcH := int32(e.v.DoorCount())
 	tgtH := srcH + 1
-	inf := math.Inf(1)
-
 	if e.opts.EagerHeapInit {
-		// Algorithm 1 lines 2–5/7 literally: every door and pt start in
-		// the heap at distance ∞.
-		for d := 0; d < e.v.DoorCount(); d++ {
-			e.st.heap.Push(int32(d), inf)
-		}
-		e.st.heap.Push(tgtH, inf)
+		st.heap.Push(tgtH, math.Inf(1)) // pt starts in the heap too (line 7)
 	}
-	e.st.dist[srcH] = 0
-	e.st.heap.Push(srcH, 0)
+	st.improve(srcH, 0, -1, model.NoPartition)
 
 	for {
-		item, ok := e.st.heap.Pop()
+		item, ok := st.heap.Pop()
 		if !ok || math.IsInf(item.Prio, 1) {
 			// Heap exhausted (lazy) or only ∞ entries remain (eager):
 			// "no such routes".
@@ -230,30 +337,30 @@ func (e *Engine) Route(q Query) (*Path, SearchStats, error) {
 		h := item.Key
 		stats.Pops++
 		if h == tgtH {
-			p := e.reconstruct(q, srcH, tgtH, srcPart, tgtPart, t0, speed)
+			p := e.reconstruct(q.Source, q.Target, st.prevDoor[tgtH], srcH, tgtPart, st.dist[tgtH], t0, speed)
 			stats.Found = true
 			stats.PathHops = p.Hops()
 			stats.PathLength = p.Length
 			e.finishStats(&stats)
 			return p, stats, nil
 		}
-		if e.st.settled[h] {
+		if !st.settle(h) {
 			continue
 		}
-		e.st.settled[h] = true
 		stats.Settled++
-		baseDist := e.st.dist[h]
+		baseDist := st.dist[h]
 
-		// Determine the partitions to expand into and the anchor door.
+		// The partitions to expand into, and the anchor door.
 		var anchor model.DoorID = model.NoDoor
-		var nexts []model.PartitionID
-		if h == srcH {
-			nexts = []model.PartitionID{srcPart}
-		} else {
+		if h != srcH {
 			anchor = model.DoorID(h)
-			nexts = e.v.NextPartitions(anchor, e.st.prevPart[h])
 		}
-		for _, w := range nexts {
+		arcs, from := e.arcsOut(h, srcH, srcPart)
+		for _, arc := range arcs {
+			if arc.From != from {
+				continue
+			}
+			w := arc.To
 			// Entering the target's partition: the next hop is pt itself
 			// (Algorithm 1 lines 20–24).
 			if w == tgtPart {
@@ -263,11 +370,7 @@ func (e *Engine) Route(q Query) (*Path, SearchStats, error) {
 				} else {
 					cand = baseDist + e.g.DM().PointToDoor(w, q.Target, anchor)
 				}
-				if old, seen := e.st.dist[tgtH]; (!seen || cand < old) && !math.IsInf(cand, 1) {
-					e.st.dist[tgtH] = cand
-					e.st.prevDoor[tgtH] = h
-					e.st.prevPart[tgtH] = w
-					e.st.heap.Push(tgtH, cand)
+				if !math.IsInf(cand, 1) && st.improve(tgtH, cand, h, w) {
 					stats.Relaxations++
 				}
 				if w != srcPart || anchor != model.NoDoor {
@@ -278,14 +381,13 @@ func (e *Engine) Route(q Query) (*Path, SearchStats, error) {
 					continue
 				}
 			}
-			if e.opts.SinglePartitionExpansion && e.st.visited[w] {
+			if e.opts.SinglePartitionExpansion && st.visited[w] == st.epoch {
 				continue
 			}
 			if w != srcPart && w != tgtPart && e.v.Partition(w).Kind.IsPrivate() {
 				continue // rule 2
 			}
-			if !e.st.visited[w] {
-				e.st.visited[w] = true
+			if st.visit(w) {
 				stats.PartitionsVisited++
 			}
 			e.expand(q, w, anchor, h, baseDist, &stats, srcPart, tgtPart)
@@ -302,6 +404,7 @@ func (e *Engine) Route(q Query) (*Path, SearchStats, error) {
 func (e *Engine) expand(q Query, w model.PartitionID, anchor model.DoorID, h int32,
 	baseDist float64, stats *SearchStats, srcPart, tgtPart model.PartitionID) {
 
+	st := e.st
 	doors := e.v.LeaveDoors(w)
 	checkEach := true
 	if pruner, ok := e.checker.(leavePruner); ok {
@@ -322,19 +425,9 @@ func (e *Engine) expand(q Query, w model.PartitionID, anchor model.DoorID, h int
 	}
 	for _, dj := range doors {
 		hj := int32(dj)
-		if e.st.settled[hj] {
-			continue
-		}
-		// Early privacy prune (line 28): skip doors that lead only to
-		// private partitions, unless one holds ps or pt.
-		useful := false
-		for _, nxt := range e.v.NextPartitions(dj, w) {
-			if nxt == srcPart || nxt == tgtPart || !e.v.Partition(nxt).Kind.IsPrivate() {
-				useful = true
-				break
-			}
-		}
-		if !useful {
+		// Skip settled doors, and doors that lead only to private
+		// partitions unless one holds ps or pt.
+		if st.settled(hj) || !e.usefulDoor(dj, w, srcPart, tgtPart) {
 			continue
 		}
 		var leg float64
@@ -347,46 +440,43 @@ func (e *Engine) expand(q Query, w model.PartitionID, anchor model.DoorID, h int
 			continue
 		}
 		distj := baseDist + leg
-		// TV_Check (line 30; see DESIGN.md on the printed polarity).
-		// Skipped when the reduced list already guarantees openness.
+		// TV_Check (line 30; see DESIGN.md note 6 on the printed
+		// polarity). Skipped when the reduced list already guarantees
+		// openness.
 		if checkEach && !e.checker.Check(dj, distj) {
 			continue
 		}
 		stats.Relaxations++
-		if old, seen := e.st.dist[hj]; !seen || distj < old {
-			e.st.dist[hj] = distj
-			e.st.prevDoor[hj] = h
-			e.st.prevPart[hj] = w
-			e.st.heap.Push(hj, distj)
-		}
+		st.improve(hj, distj, h, w)
 	}
 }
 
-// reconstruct rebuilds the path from the prev chains (Algorithm 1
-// lines 11–17).
-func (e *Engine) reconstruct(q Query, srcH, tgtH int32, srcPart, tgtPart model.PartitionID,
-	t0 temporal.TimeOfDay, speed float64) *Path {
+// reconstruct rebuilds a path from the prev chains (Algorithm 1 lines
+// 11–17): via is the last door before the target point (prevDoor of the
+// target node, or a shared run's best entry) and length the target's
+// distance. The slices are sized by one walk of the chain up front, so
+// a path costs four allocations.
+func (e *Engine) reconstruct(src, tgt geom.Point, via, srcH int32, tgtPart model.PartitionID,
+	length float64, t0 temporal.TimeOfDay, speed float64) *Path {
 
-	var doors []model.DoorID
-	var parts []model.PartitionID
-	for h := e.st.prevDoor[tgtH]; h != srcH; h = e.st.prevDoor[h] {
-		doors = append(doors, model.DoorID(h))
-		parts = append(parts, e.st.prevPart[h])
+	n := 0
+	for h := via; h != srcH; h = e.st.prevDoor[h] {
+		n++
 	}
-	// Reverse into forward order.
-	for i, j := 0, len(doors)-1; i < j; i, j = i+1, j-1 {
-		doors[i], doors[j] = doors[j], doors[i]
-		parts[i], parts[j] = parts[j], parts[i]
+	doors := make([]model.DoorID, n)
+	parts := make([]model.PartitionID, n+1)
+	arrivals := make([]temporal.TimeOfDay, n)
+	i := n - 1
+	for h := via; h != srcH; h = e.st.prevDoor[h] {
+		doors[i] = model.DoorID(h)
+		parts[i] = e.st.prevPart[h]
+		arrivals[i] = t0 + temporal.TimeOfDay(e.st.dist[h]/speed)
+		i--
 	}
-	parts = append(parts, tgtPart)
-	length := e.st.dist[tgtH]
-	arrivals := make([]temporal.TimeOfDay, len(doors))
-	for i, d := range doors {
-		arrivals[i] = t0 + temporal.TimeOfDay(e.st.dist[int32(d)]/speed)
-	}
+	parts[n] = tgtPart
 	return &Path{
-		Source:       q.Source,
-		Target:       q.Target,
+		Source:       src,
+		Target:       tgt,
 		Doors:        doors,
 		Partitions:   parts,
 		Length:       length,
@@ -396,18 +486,15 @@ func (e *Engine) reconstruct(q Query, srcH, tgtH int32, srcPart, tgtPart model.P
 	}
 }
 
-// finishStats derives the aggregate counters.
+// finishStats derives the aggregate counters and the working-set model
+// (see bytesPerHandle).
 func (e *Engine) finishStats(s *SearchStats) {
-	s.DoorsTouched = len(e.st.dist)
+	s.DoorsTouched = e.st.touched
 	s.HeapMax = e.st.heap.MaxLen()
 	s.Checker = e.checker.Stats()
-	// Working-set model: three hash-map entries per touched handle
-	// (dist, prevDoor, prevPart at ~48 B each incl. bucket overhead),
-	// one heap slot per high-water entry, one byte-pair per visited
-	// partition/settled door, plus consulted snapshot bytes.
-	s.BytesEstimate = len(e.st.dist)*3*48 +
-		s.HeapMax*16 +
-		len(e.st.visited)*16 + len(e.st.settled)*16 +
+	s.BytesEstimate = s.DoorsTouched*bytesPerHandle +
+		s.HeapMax*bytesPerHeapSlot +
+		s.PartitionsVisited*bytesPerPartition +
 		s.Checker.SnapshotBytes
 }
 

@@ -57,8 +57,10 @@ type ManyOutcome struct {
 	Solo bool
 }
 
-// sharedTarget pairs a grouped target with its located partition.
-type sharedTarget struct {
+// groupMember pairs a grouped endpoint (a RouteMany target or a
+// RouteManyTo source) with its position in the call and its located
+// partition.
+type groupMember struct {
 	idx  int
 	pt   geom.Point
 	part model.PartitionID
@@ -80,7 +82,7 @@ func (e *Engine) RouteMany(src geom.Point, targets []geom.Point, at temporal.Tim
 		}
 		return out
 	}
-	var shared []sharedTarget
+	var shared []groupMember
 	var solo []int
 	for j, pt := range targets {
 		part, located := e.v.Locate(pt)
@@ -95,7 +97,7 @@ func (e *Engine) RouteMany(src geom.Point, targets []geom.Point, at temporal.Tim
 			// Both go to byte-identical-by-construction solo searches.
 			solo = append(solo, j)
 		default:
-			shared = append(shared, sharedTarget{idx: j, pt: pt, part: part})
+			shared = append(shared, groupMember{idx: j, pt: pt, part: part})
 		}
 	}
 	if len(shared) > 0 {
@@ -116,6 +118,27 @@ type bestEntry struct {
 	via  int32 // settled handle whose expansion set the entry
 	seen bool
 	done bool // frontier passed dist: the entry can no longer improve
+}
+
+// offer applies Route's target-node relaxation rule to the entry: a
+// finite candidate wins when the entry is unseen or it is strictly
+// shorter.
+func (b *bestEntry) offer(cand float64, via int32) bool {
+	if math.IsInf(cand, 1) || (b.seen && !(cand < b.dist)) {
+		return false
+	}
+	b.dist, b.via, b.seen = cand, via, true
+	return true
+}
+
+// group readies one bestEntry per grouped member, reusing the state's
+// scratch, and marks the members' partitions for this search.
+func (st *searchState) group(ms []groupMember) []bestEntry {
+	st.bests = append(st.bests[:0], make([]bestEntry, len(ms))...)
+	for _, m := range ms {
+		st.grouped[m.part] = st.epoch
+	}
+	return st.bests
 }
 
 // settleBests marks entries the frontier has passed. When the heap
@@ -148,7 +171,7 @@ func settleBests(bests []bestEntry, frontier float64, pending int) int {
 //     answer are the ones the pruned solo search builds;
 //   - rule 2 needs no per-target exemption: grouped target partitions
 //     are never private (RouteMany routes those solo).
-func (e *Engine) routeShared(src geom.Point, srcPart model.PartitionID, ts []sharedTarget,
+func (e *Engine) routeShared(src geom.Point, srcPart model.PartitionID, ts []groupMember,
 	at temporal.TimeOfDay, speed float64, out []ManyOutcome) {
 
 	t0 := at.Mod()
@@ -156,30 +179,16 @@ func (e *Engine) routeShared(src geom.Point, srcPart model.PartitionID, ts []sha
 		speed = WalkingSpeedMPS
 	}
 	run := SearchStats{Method: e.checker.Name()}
-	e.reset()
-	e.checker.Begin(t0, speed)
-
+	st := e.begin(t0, speed)
 	srcH := int32(e.v.DoorCount())
-	inf := math.Inf(1)
-	if e.opts.EagerHeapInit {
-		for d := 0; d < e.v.DoorCount(); d++ {
-			e.st.heap.Push(int32(d), inf)
-		}
-	}
-	e.st.dist[srcH] = 0
-	e.st.heap.Push(srcH, 0)
-
-	bests := make([]bestEntry, len(ts))
-	byPart := make(map[model.PartitionID][]int, len(ts))
-	for i, tg := range ts {
-		byPart[tg.part] = append(byPart[tg.part], i)
-	}
+	st.improve(srcH, 0, -1, model.NoPartition)
+	bests := st.group(ts)
 	pending := len(ts)
 
 	q := Query{Source: src} // expand reads only the source point
 
 	for pending > 0 {
-		item, ok := e.st.heap.Pop()
+		item, ok := st.heap.Pop()
 		if !ok || math.IsInf(item.Prio, 1) {
 			break // heap exhausted: unseen targets have no route
 		}
@@ -188,47 +197,45 @@ func (e *Engine) routeShared(src geom.Point, srcPart model.PartitionID, ts []sha
 		if pending = settleBests(bests, item.Prio, pending); pending == 0 {
 			break
 		}
-		if e.st.settled[h] {
+		if !st.settle(h) {
 			continue
 		}
-		e.st.settled[h] = true
 		run.Settled++
-		baseDist := e.st.dist[h]
+		baseDist := st.dist[h]
 
 		var anchor model.DoorID = model.NoDoor
-		var nexts []model.PartitionID
-		if h == srcH {
-			nexts = []model.PartitionID{srcPart}
-		} else {
+		if h != srcH {
 			anchor = model.DoorID(h)
-			nexts = e.v.NextPartitions(anchor, e.st.prevPart[h])
 		}
-		for _, w := range nexts {
+		arcs, from := e.arcsOut(h, srcH, srcPart)
+		for _, arc := range arcs {
+			if arc.From != from {
+				continue
+			}
+			w := arc.To
 			// Route's target relaxation (Algorithm 1 lines 20–24), once
 			// per grouped target located in this partition.
-			for _, i := range byPart[w] {
-				b := &bests[i]
-				if b.done {
-					continue
-				}
-				var cand float64
-				if anchor == model.NoDoor {
-					cand = baseDist + e.g.DM().PointToPoint(w, src, ts[i].pt)
-				} else {
-					cand = baseDist + e.g.DM().PointToDoor(w, ts[i].pt, anchor)
-				}
-				if (!b.seen || cand < b.dist) && !math.IsInf(cand, 1) {
-					b.dist = cand
-					b.via = h
-					b.seen = true
-					run.Relaxations++
+			if st.grouped[w] == st.epoch {
+				for i := range ts {
+					b := &bests[i]
+					if ts[i].part != w || b.done {
+						continue
+					}
+					var cand float64
+					if anchor == model.NoDoor {
+						cand = baseDist + e.g.DM().PointToPoint(w, src, ts[i].pt)
+					} else {
+						cand = baseDist + e.g.DM().PointToDoor(w, ts[i].pt, anchor)
+					}
+					if b.offer(cand, h) {
+						run.Relaxations++
+					}
 				}
 			}
 			if w != srcPart && e.v.Partition(w).Kind.IsPrivate() {
 				continue // rule 2 (grouped target partitions are never private)
 			}
-			if !e.st.visited[w] {
-				e.st.visited[w] = true
+			if st.visit(w) {
 				run.PartitionsVisited++
 			}
 			// NoPartition disables expand's target-partition exemption:
@@ -240,56 +247,17 @@ func (e *Engine) routeShared(src geom.Point, srcPart model.PartitionID, ts []sha
 	e.finishStats(&run)
 	for i, tg := range ts {
 		b := bests[i]
-		st := run
+		stats := run
 		if !b.seen {
-			out[tg.idx] = ManyOutcome{Stats: st, Err: ErrNoRoute}
+			out[tg.idx] = ManyOutcome{Stats: stats, Err: ErrNoRoute}
 			continue
 		}
-		p := e.reconstructEntry(src, tg.pt, b.via, srcH, tg.part, b.dist, t0, speed)
-		st.Found = true
-		st.PathHops = p.Hops()
-		st.PathLength = p.Length
-		out[tg.idx] = ManyOutcome{Path: p, Stats: st}
+		p := e.reconstruct(src, tg.pt, b.via, srcH, tg.part, b.dist, t0, speed)
+		stats.Found = true
+		stats.PathHops = p.Hops()
+		stats.PathLength = p.Length
+		out[tg.idx] = ManyOutcome{Path: p, Stats: stats}
 	}
-}
-
-// reconstructEntry is Route's reconstruct rooted at a bestEntry: via is
-// what prevDoor[tgtH] would have been, dist the target-node distance.
-func (e *Engine) reconstructEntry(src, tgt geom.Point, via, srcH int32, tgtPart model.PartitionID,
-	length float64, t0 temporal.TimeOfDay, speed float64) *Path {
-
-	var doors []model.DoorID
-	var parts []model.PartitionID
-	for h := via; h != srcH; h = e.st.prevDoor[h] {
-		doors = append(doors, model.DoorID(h))
-		parts = append(parts, e.st.prevPart[h])
-	}
-	for i, j := 0, len(doors)-1; i < j; i, j = i+1, j-1 {
-		doors[i], doors[j] = doors[j], doors[i]
-		parts[i], parts[j] = parts[j], parts[i]
-	}
-	parts = append(parts, tgtPart)
-	arrivals := make([]temporal.TimeOfDay, len(doors))
-	for i, d := range doors {
-		arrivals[i] = t0 + temporal.TimeOfDay(e.st.dist[int32(d)]/speed)
-	}
-	return &Path{
-		Source:       src,
-		Target:       tgt,
-		Doors:        doors,
-		Partitions:   parts,
-		Length:       length,
-		Arrivals:     arrivals,
-		ArrivalAtTgt: t0 + temporal.TimeOfDay(length/speed),
-		DepartedAt:   t0,
-	}
-}
-
-// sharedSource pairs a grouped source with its located partition.
-type sharedSource struct {
-	idx  int
-	pt   geom.Point
-	part model.PartitionID
 }
 
 // RouteManyTo answers ITSPQ(sources[j], tgt, at) for every source.
@@ -305,7 +273,7 @@ func (e *Engine) RouteManyTo(sources []geom.Point, tgt geom.Point, at temporal.T
 	out := make([]ManyOutcome, len(sources))
 	name := e.checker.Name()
 	tgtPart, tok := e.v.Locate(tgt)
-	var shared []sharedSource
+	var shared []groupMember
 	var solo []int
 	for j, pt := range sources {
 		part, located := e.v.Locate(pt)
@@ -322,7 +290,7 @@ func (e *Engine) RouteManyTo(sources []geom.Point, tgt geom.Point, at temporal.T
 			(e.v.Partition(part).Kind.IsPrivate() && part != tgtPart):
 			solo = append(solo, j)
 		default:
-			shared = append(shared, sharedSource{idx: j, pt: pt, part: part})
+			shared = append(shared, groupMember{idx: j, pt: pt, part: part})
 		}
 	}
 	if len(shared) > 0 {
@@ -354,7 +322,7 @@ func (e *Engine) RouteManyTo(sources []geom.Point, tgt geom.Point, at temporal.T
 // lengths, distances and arrivals are bit-identical to solo answers
 // even though the reverse run accumulated its sums in the opposite
 // order.
-func (e *Engine) routeSharedReverse(tgt geom.Point, tgtPart model.PartitionID, ss []sharedSource,
+func (e *Engine) routeSharedReverse(tgt geom.Point, tgtPart model.PartitionID, ss []groupMember,
 	at temporal.TimeOfDay, speed float64, out []ManyOutcome) {
 
 	t0 := at.Mod()
@@ -362,30 +330,16 @@ func (e *Engine) routeSharedReverse(tgt geom.Point, tgtPart model.PartitionID, s
 		speed = WalkingSpeedMPS
 	}
 	run := SearchStats{Method: e.checker.Name()}
-	e.reset()
-	e.checker.Begin(t0, speed)
-
+	// begin mirrors routeShared (and Route): the EagerHeapInit ablation
+	// enheaps every door at ∞ up front in reverse runs too.
+	st := e.begin(t0, speed)
 	tgtH := int32(e.v.DoorCount())
-	if e.opts.EagerHeapInit {
-		// Mirror routeShared (and Route): the ablation enheaps every
-		// door at ∞ up front in reverse runs too.
-		inf := math.Inf(1)
-		for d := 0; d < e.v.DoorCount(); d++ {
-			e.st.heap.Push(int32(d), inf)
-		}
-	}
-	e.st.dist[tgtH] = 0
-	e.st.heap.Push(tgtH, 0)
-
-	bests := make([]bestEntry, len(ss))
-	byPart := make(map[model.PartitionID][]int, len(ss))
-	for i, s := range ss {
-		byPart[s.part] = append(byPart[s.part], i)
-	}
+	st.improve(tgtH, 0, -1, model.NoPartition)
+	bests := st.group(ss)
 	pending := len(ss)
 
 	for pending > 0 {
-		item, ok := e.st.heap.Pop()
+		item, ok := st.heap.Pop()
 		if !ok || math.IsInf(item.Prio, 1) {
 			break
 		}
@@ -394,38 +348,37 @@ func (e *Engine) routeSharedReverse(tgt geom.Point, tgtPart model.PartitionID, s
 		if pending = settleBests(bests, item.Prio, pending); pending == 0 {
 			break
 		}
-		if e.st.settled[h] {
+		if !st.settle(h) {
 			continue
 		}
-		e.st.settled[h] = true
 		run.Settled++
-		baseDist := e.st.dist[h]
+		baseDist := st.dist[h]
 
 		var anchor model.DoorID = model.NoDoor
-		var prevs []model.PartitionID
-		if h == tgtH {
-			prevs = []model.PartitionID{tgtPart}
-		} else {
+		if h != tgtH {
 			anchor = model.DoorID(h)
-			prevs = e.v.PrevPartitions(anchor, e.st.prevPart[h])
 		}
-		for _, w := range prevs {
-			for _, i := range byPart[w] {
-				b := &bests[i]
-				if b.done {
-					continue
-				}
-				var cand float64
-				if anchor == model.NoDoor {
-					cand = baseDist + e.g.DM().PointToPoint(w, ss[i].pt, tgt)
-				} else {
-					cand = baseDist + e.g.DM().PointToDoor(w, ss[i].pt, anchor)
-				}
-				if (!b.seen || cand < b.dist) && !math.IsInf(cand, 1) {
-					b.dist = cand
-					b.via = h
-					b.seen = true
-					run.Relaxations++
+		arcs, to := e.arcsIn(h, tgtH, tgtPart)
+		for _, arc := range arcs {
+			if arc.To != to {
+				continue
+			}
+			w := arc.From
+			if st.grouped[w] == st.epoch {
+				for i := range ss {
+					b := &bests[i]
+					if ss[i].part != w || b.done {
+						continue
+					}
+					var cand float64
+					if anchor == model.NoDoor {
+						cand = baseDist + e.g.DM().PointToPoint(w, ss[i].pt, tgt)
+					} else {
+						cand = baseDist + e.g.DM().PointToDoor(w, ss[i].pt, anchor)
+					}
+					if b.offer(cand, h) {
+						run.Relaxations++
+					}
 				}
 			}
 			if w == tgtPart && anchor != model.NoDoor {
@@ -434,8 +387,7 @@ func (e *Engine) routeSharedReverse(tgt geom.Point, tgtPart model.PartitionID, s
 			if w != tgtPart && e.v.Partition(w).Kind.IsPrivate() {
 				continue // rule 2 (grouped source partitions are never private)
 			}
-			if !e.st.visited[w] {
-				e.st.visited[w] = true
+			if st.visit(w) {
 				run.PartitionsVisited++
 			}
 			e.expandReverse(tgt, tgtPart, w, anchor, h, baseDist, &run)
@@ -445,16 +397,16 @@ func (e *Engine) routeSharedReverse(tgt geom.Point, tgtPart model.PartitionID, s
 	e.finishStats(&run)
 	for i, s := range ss {
 		b := bests[i]
-		st := run
+		stats := run
 		if !b.seen {
-			out[s.idx] = ManyOutcome{Stats: st, Err: ErrNoRoute}
+			out[s.idx] = ManyOutcome{Stats: stats, Err: ErrNoRoute}
 			continue
 		}
 		p := e.reconstructReverse(s.pt, tgt, b.via, tgtH, s.part, t0, speed)
-		st.Found = true
-		st.PathHops = p.Hops()
-		st.PathLength = p.Length
-		out[s.idx] = ManyOutcome{Path: p, Stats: st}
+		stats.Found = true
+		stats.PathHops = p.Hops()
+		stats.PathLength = p.Length
+		out[s.idx] = ManyOutcome{Path: p, Stats: stats}
 	}
 }
 
@@ -464,22 +416,13 @@ func (e *Engine) routeSharedReverse(tgt geom.Point, tgtPart model.PartitionID, s
 func (e *Engine) expandReverse(tgt geom.Point, tgtPart, w model.PartitionID, anchor model.DoorID, h int32,
 	baseDist float64, stats *SearchStats) {
 
+	st := e.st
 	for _, dj := range e.v.EnterDoors(w) {
 		hj := int32(dj)
-		if e.st.settled[hj] {
-			continue
-		}
 		// Mirror of expand's privacy prune: a door approachable only
 		// from private partitions (other than the target's) cannot lie
 		// on any grouped answer — grouped source partitions are public.
-		useful := false
-		for _, prv := range e.v.PrevPartitions(dj, w) {
-			if prv == tgtPart || !e.v.Partition(prv).Kind.IsPrivate() {
-				useful = true
-				break
-			}
-		}
-		if !useful {
+		if st.settled(hj) || !e.usefulReverse(dj, w, tgtPart) {
 			continue
 		}
 		var leg float64
@@ -493,13 +436,31 @@ func (e *Engine) expandReverse(tgt geom.Point, tgtPart, w model.PartitionID, anc
 		}
 		distj := baseDist + leg
 		stats.Relaxations++
-		if old, seen := e.st.dist[hj]; !seen || distj < old {
-			e.st.dist[hj] = distj
-			e.st.prevDoor[hj] = h
-			e.st.prevPart[hj] = w
-			e.st.heap.Push(hj, distj)
+		st.improve(hj, distj, h, w)
+	}
+}
+
+// arcsIn is arcsOut over the arc-reversed graph: door h's stored arcs
+// and the partition the reverse run left it through (callers skip arcs
+// whose To differs, so arc-exact like model.Venue.PrevPartitions), or
+// for the root handle one virtual arc out of rootPart.
+func (e *Engine) arcsIn(h, rootH int32, rootPart model.PartitionID) ([]model.Arc, model.PartitionID) {
+	if h == rootH {
+		e.st.root[0] = model.Arc{From: rootPart, To: model.NoPartition}
+		return e.st.root[:], model.NoPartition
+	}
+	return e.v.Door(model.DoorID(h)).Arcs, e.st.prevPart[h]
+}
+
+// usefulReverse reports whether door d can be approached into w from
+// the target's partition or a public one.
+func (e *Engine) usefulReverse(d model.DoorID, w, tgtPart model.PartitionID) bool {
+	for _, a := range e.v.Door(d).Arcs {
+		if a.To == w && (a.From == tgtPart || !e.v.Partition(a.From).Kind.IsPrivate()) {
+			return true
 		}
 	}
+	return false
 }
 
 // reconstructReverse turns one reverse prev chain into a forward Path:
@@ -509,15 +470,17 @@ func (e *Engine) expandReverse(tgt geom.Point, tgtPart, w model.PartitionID, anc
 func (e *Engine) reconstructReverse(src, tgt geom.Point, via, tgtH int32, srcPart model.PartitionID,
 	t0 temporal.TimeOfDay, speed float64) *Path {
 
-	var doors []model.DoorID
-	var parts []model.PartitionID
+	n := 0
+	for h := via; h != tgtH; h = e.st.prevDoor[h] {
+		n++
+	}
+	doors := make([]model.DoorID, 0, n)
+	fullParts := make([]model.PartitionID, 1, n+1)
+	fullParts[0] = srcPart
 	for h := via; h != tgtH; h = e.st.prevDoor[h] {
 		doors = append(doors, model.DoorID(h))
-		parts = append(parts, e.st.prevPart[h])
+		fullParts = append(fullParts, e.st.prevPart[h])
 	}
-	fullParts := make([]model.PartitionID, 0, len(doors)+1)
-	fullParts = append(fullParts, srcPart)
-	fullParts = append(fullParts, parts...)
 
 	var length float64
 	dists := make([]float64, len(doors))

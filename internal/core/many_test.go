@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -276,5 +277,36 @@ func TestRouteManyEngineReusableAfter(t *testing.T) {
 	wantPath, _, wantErr := solo.Route(q)
 	if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(gotPath, wantPath) {
 		t.Fatalf("post-RouteMany Route diverged: %v/%v vs %v/%v", gotPath, gotErr, wantPath, wantErr)
+	}
+}
+
+// TestSearchStateEpochWrap runs searches across the epoch counter's
+// wrap-around: marks stamped just before the wrap must not read as
+// current afterwards, so every answer and effort counter matches a
+// fresh engine's.
+func TestSearchStateEpochWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	v := randomVenue(t, rng, 3, 4)
+	g := itgraph.MustNew(v)
+	worn := NewEngine(g, Options{Method: MethodSyn})
+	worn.Route(Query{Source: geom.Pt(1, 1, 0), Target: geom.Pt(39, 29, 0)}) // allocate the state
+	worn.st.epoch = math.MaxUint32 - 2
+	checked := 0
+	for i := 0; i < 8; i++ {
+		q := Query{
+			Source: geom.Pt(rng.Float64()*40, rng.Float64()*30, 0),
+			Target: geom.Pt(rng.Float64()*40, rng.Float64()*30, 0),
+			At:     temporal.TimeOfDay(rng.Float64() * 86400),
+		}
+		gotP, gotSt, gotErr := worn.Route(q)
+		wantP, wantSt, wantErr := NewEngine(g, Options{Method: MethodSyn}).Route(q)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(gotP, wantP) || gotSt != wantSt {
+			t.Fatalf("query %d at epoch %d: got %v %+v %v, want %v %+v %v",
+				i, worn.st.epoch, gotP, gotSt, gotErr, wantP, wantSt, wantErr)
+		}
+		checked++
+	}
+	if worn.st.epoch >= math.MaxUint32-2 {
+		t.Fatalf("epoch %d never wrapped in %d searches", worn.st.epoch, checked)
 	}
 }

@@ -2,12 +2,11 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"indoorpath/internal/geom"
 	"indoorpath/internal/itgraph"
 	"indoorpath/internal/model"
-	"indoorpath/internal/pqueue"
 	"indoorpath/internal/temporal"
 )
 
@@ -68,129 +67,117 @@ type SkeletonFamily struct {
 // BuildSkeletonFamily computes the (srcPart, tgtPart) family for the
 // checkpoint slot containing at (the whole day for MethodStatic). It
 // runs one frozen-topology Dijkstra per usable entry door of srcPart,
-// mirroring Route's semantics exactly — prevPart-threaded
-// NextPartitions, the privacy rule with srcPart/tgtPart exempt, no
-// expansion through the target partition, the engine's own leg
-// arithmetic — with every TV_Check replaced by the door's constant
-// openness over the slot. It returns nil when no family can be built:
-// same partition pair (the direct point-to-point candidate is not
-// expressible door-to-door), the SinglePartitionExpansion ablation
-// (its visited-partition gate makes per-entry-door decomposition
-// unsound), or no open entry door reaches the target partition.
+// mirroring Route's semantics exactly — prevPart-threaded arc walks,
+// the privacy rule with srcPart/tgtPart exempt, no expansion through
+// the target partition, the engine's own leg arithmetic — with every
+// TV_Check replaced by the door's constant openness over the slot. It
+// returns nil when no family can be built: same partition pair (the
+// direct point-to-point candidate is not expressible door-to-door), the
+// SinglePartitionExpansion ablation (its visited-partition gate makes
+// per-entry-door decomposition unsound), or no open entry door reaches
+// the target partition.
 //
 // The caller must hold the engine exclusively (the usual checked-out
-// discipline); the build reuses no Route state and leaves the engine
-// ready for further searches.
+// discipline). The runs share the engine's search state with Route, so
+// a warm engine allocates only the family and its chains.
 func (e *Engine) BuildSkeletonFamily(srcPart, tgtPart model.PartitionID, at temporal.TimeOfDay) *SkeletonFamily {
 	if srcPart == tgtPart || e.opts.SinglePartitionExpansion {
 		return nil
 	}
-	fam := &SkeletonFamily{Src: srcPart, Tgt: tgtPart, Slot: SkeletonStaticSlot,
+	fam := SkeletonFamily{Src: srcPart, Tgt: tgtPart, Slot: SkeletonStaticSlot,
 		Window: temporal.Interval{Open: 0, Close: temporal.DaySeconds}}
-	open := func(model.DoorID) bool { return true }
 	if e.opts.Method != MethodStatic {
 		cps := e.g.Checkpoints()
 		slot := cps.SlotOf(at.Mod())
-		start := cps.SlotStart(slot)
 		fam.Slot = slot
-		fam.Window = temporal.Interval{Open: start, Close: cps.SlotEnd(slot)}
-		// Within a slot every door's state is constant (checkpoints are
-		// exactly the instants any ATI opens or closes), so openness at
-		// the slot start is openness throughout.
-		open = func(d model.DoorID) bool { return e.v.Door(d).OpenAt(start) }
+		fam.Window = temporal.Interval{Open: cps.SlotStart(slot), Close: cps.SlotEnd(slot)}
 	}
 
-	entries := append([]model.DoorID(nil), e.v.LeaveDoors(srcPart)...)
-	sort.Slice(entries, func(i, j int) bool { return entries[i] < entries[j] })
+	st := e.reset()
+	st.chains = st.chains[:0]
+	entries := append(st.doors[:0], e.v.LeaveDoors(srcPart)...)
+	st.doors = entries
+	slices.Sort(entries)
 	for _, a := range entries {
-		if !open(a) || !e.usefulDoor(a, srcPart, srcPart, tgtPart) {
+		if !e.frozenOpen(&fam, a) || !e.usefulDoor(a, srcPart, srcPart, tgtPart) {
 			continue
 		}
-		e.appendEntryChains(fam, a, srcPart, tgtPart, open)
+		e.appendEntryChains(&fam, a)
 	}
-	if len(fam.Chains) == 0 {
+	if len(st.chains) == 0 {
 		return nil
 	}
-	return fam
+	fam.Chains = slices.Clone(st.chains)
+	clear(st.chains) // drop the scratch's references to the family's chains
+	return &fam
 }
 
-// usefulDoor mirrors expand's early privacy prune: a door of w is worth
-// relaxing only if some partition it leads to from w is the source's,
-// the target's, or public.
-func (e *Engine) usefulDoor(d model.DoorID, w, srcPart, tgtPart model.PartitionID) bool {
-	for _, nxt := range e.v.NextPartitions(d, w) {
-		if nxt == srcPart || nxt == tgtPart || !e.v.Partition(nxt).Kind.IsPrivate() {
-			return true
-		}
-	}
-	return false
+// frozenOpen is the family's TV_Check: within a slot every door's state
+// is constant (checkpoints are exactly the instants any ATI opens or
+// closes), so openness at the slot start is openness throughout; a
+// static family treats every door as open.
+func (e *Engine) frozenOpen(fam *SkeletonFamily, d model.DoorID) bool {
+	return fam.Slot == SkeletonStaticSlot || e.v.Door(d).OpenAt(fam.Window.Open)
 }
 
 // appendEntryChains runs the frozen-topology Dijkstra seeded at entry
-// door a (entered from srcPart at distance zero) and appends one chain
-// per reachable anchor door of tgtPart. Run to exhaustion: the best
+// door a (entered from the family's source partition at distance zero)
+// and appends one chain per reachable anchor door of the target
+// partition to the state's chain scratch. Run to exhaustion: the best
 // anchor for a concrete query depends on its target point, so every
 // anchor's chain is kept.
-func (e *Engine) appendEntryChains(fam *SkeletonFamily, a model.DoorID, srcPart, tgtPart model.PartitionID,
-	open func(model.DoorID) bool) {
-
-	heap := pqueue.New(64)
-	dist := map[model.DoorID]float64{a: 0}
-	prevDoor := map[model.DoorID]model.DoorID{}
-	prevPart := map[model.DoorID]model.PartitionID{a: srcPart}
-	settled := map[model.DoorID]bool{}
-	var anchors []model.DoorID
-
-	heap.Push(int32(a), 0)
+func (e *Engine) appendEntryChains(fam *SkeletonFamily, a model.DoorID) {
+	srcPart, tgtPart := fam.Src, fam.Tgt
+	st := e.reset()
+	st.anchors = st.anchors[:0]
+	st.improve(int32(a), 0, -1, srcPart)
 	for {
-		item, ok := heap.Pop()
+		item, ok := st.heap.Pop()
 		if !ok {
 			break
 		}
-		h := model.DoorID(item.Key)
-		if settled[h] {
+		h := item.Key
+		if !st.settle(h) {
 			continue
 		}
-		settled[h] = true
-		baseDist := dist[h]
-		for _, w := range e.v.NextPartitions(h, prevPart[h]) {
+		baseDist := st.dist[h]
+		for _, arc := range e.v.Door(model.DoorID(h)).Arcs {
+			if arc.From != st.prevPart[h] {
+				continue
+			}
+			w := arc.To
 			if w == tgtPart {
 				// h is an anchor: the last door of a chain. Mirror Route's
 				// target relaxation (dist[h] is final once settled) and its
 				// no-through-expansion prune — the answer never transits
 				// the target partition.
-				anchors = append(anchors, h)
+				st.anchors = append(st.anchors, model.DoorID(h))
 				continue
 			}
 			if w != srcPart && e.v.Partition(w).Kind.IsPrivate() {
 				continue // rule 2, endpoints exempt
 			}
 			for _, dj := range e.v.LeaveDoors(w) {
-				if settled[dj] || !e.usefulDoor(dj, w, srcPart, tgtPart) {
+				if st.settled(int32(dj)) || !e.usefulDoor(dj, w, srcPart, tgtPart) {
 					continue
 				}
-				leg := e.legDist(w, h, dj)
+				leg := e.legDist(w, model.DoorID(h), dj)
 				if math.IsInf(leg, 1) {
 					continue
 				}
 				distj := baseDist + leg
-				if !open(dj) {
+				if !e.frozenOpen(fam, dj) {
 					continue // the frozen TV_Check
 				}
-				if old, seen := dist[dj]; !seen || distj < old {
-					dist[dj] = distj
-					prevDoor[dj] = h
-					prevPart[dj] = w
-					heap.Push(int32(dj), distj)
-				}
+				st.improve(int32(dj), distj, h, w)
 			}
 		}
 	}
 
-	sort.Slice(anchors, func(i, j int) bool { return anchors[i] < anchors[j] })
-	for _, b := range anchors {
+	slices.Sort(st.anchors)
+	for _, b := range st.anchors {
 		n := 1
-		for d := b; d != a; d = prevDoor[d] {
+		for d := int32(b); d != int32(a); d = st.prevDoor[d] {
 			n++
 		}
 		sk := &Skeleton{
@@ -200,12 +187,12 @@ func (e *Engine) appendEntryChains(fam *SkeletonFamily, a model.DoorID, srcPart,
 			Partitions: make([]model.PartitionID, n+1),
 			Legs:       make([]float64, n),
 		}
-		sk.Partitions[n] = fam.Tgt
+		sk.Partitions[n] = tgtPart
 		i := n - 1
-		for d := b; ; d = prevDoor[d] {
-			sk.Doors[i] = d
-			sk.Partitions[i] = prevPart[d]
-			if d == a {
+		for d := int32(b); ; d = st.prevDoor[d] {
+			sk.Doors[i] = model.DoorID(d)
+			sk.Partitions[i] = st.prevPart[d]
+			if d == int32(a) {
 				break
 			}
 			i--
@@ -213,7 +200,7 @@ func (e *Engine) appendEntryChains(fam *SkeletonFamily, a model.DoorID, srcPart,
 		for i := 1; i < n; i++ {
 			sk.Legs[i] = e.legDist(sk.Partitions[i], sk.Doors[i-1], sk.Doors[i])
 		}
-		fam.Chains = append(fam.Chains, sk)
+		st.chains = append(st.chains, sk)
 	}
 }
 

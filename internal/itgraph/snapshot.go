@@ -158,15 +158,26 @@ func (ss *SnapshotSeries) build(i int) *Snapshot {
 			s.OpenCount++
 		}
 	}
-	for p := 0; p < v.PartitionCount(); p++ {
-		full := v.LeaveDoors(model.PartitionID(p))
-		var pruned []model.DoorID
-		for _, d := range full {
+	// All pruned lists share one backing array (capped subslices), so a
+	// build costs a constant number of allocations, not one per
+	// partition.
+	total := 0
+	for p := range s.leaveOpen {
+		for _, d := range v.LeaveDoors(model.PartitionID(p)) {
 			if s.open.Contains(d) {
-				pruned = append(pruned, d)
+				total++
 			}
 		}
-		s.leaveOpen[p] = pruned
+	}
+	backing := make([]model.DoorID, 0, total)
+	for p := range s.leaveOpen {
+		lo := len(backing)
+		for _, d := range v.LeaveDoors(model.PartitionID(p)) {
+			if s.open.Contains(d) {
+				backing = append(backing, d)
+			}
+		}
+		s.leaveOpen[p] = backing[lo:len(backing):len(backing)]
 	}
 	return s
 }
