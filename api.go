@@ -220,9 +220,9 @@ type (
 	// departure interval over which they provably stay the engine's
 	// answer, so nearby departure times of the same OD pair are served
 	// without a search. Set SkeletonCache to enable the point-free
-	// door-to-door skeleton store (core.SkeletonFamily): one miss per
-	// (source partition, target partition, checkpoint slot) stores the
-	// pair's door-sequence skeletons, and ANY later query between the
+	// door-to-door skeleton store (core.SkeletonFamily): a repeated miss
+	// per (source partition, target partition, checkpoint slot) stores
+	// the pair's door-sequence skeletons, and ANY later query between the
 	// same partitions — different points, different departure inside
 	// the slot — is answered by composing first leg + skeleton + last
 	// leg, bit-identical to a fresh search or not at all. Set

@@ -743,6 +743,66 @@ func BenchmarkPoolRouteNeighborhood(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolRouteFreshPairs measures the skeleton store on the
+// workload it must not tax: partition pairs that never repeat, so a
+// skeleton family built for one would never be reused. Each op routes
+// 64 routable queries between 64 distinct (source, target) partition
+// pairs of the mall testbed, all in one checkpoint slot, through a
+// fresh skeleton-cache pool. A family needs repeat evidence, so the
+// benchmark self-checks that no family is built and that engine runs
+// (searches plus builds) never exceed queries — a regression fails the
+// bench run rather than just shifting a number.
+func BenchmarkPoolRouteFreshPairs(b *testing.B) {
+	tb := newTestbed(b, 5, 8, 1500, indoorpath.Clock(12, 0, 0))
+	tb.graph.Snapshots().BuildAll()
+	parts := tb.graph.Venue().Partitions()
+	probe := indoorpath.NewEngine(tb.graph, indoorpath.Options{Method: indoorpath.MethodAsyn})
+	rng := rand.New(rand.NewSource(11))
+	seen := make(map[[2]int]bool)
+	var qs []indoorpath.Query
+	for tries := 0; len(qs) < 64 && tries < 10000; tries++ {
+		i, j := rng.Intn(len(parts)), rng.Intn(len(parts))
+		if i == j || seen[[2]int{i, j}] {
+			continue
+		}
+		seen[[2]int{i, j}] = true
+		q := indoorpath.Query{Source: parts[i].Rect.Center(), Target: parts[j].Rect.Center(), At: indoorpath.Clock(12, 0, 0)}
+		if _, _, err := probe.Route(q); err == nil {
+			qs = append(qs, q)
+		}
+	}
+	if len(qs) < 64 {
+		b.Fatalf("only %d routable distinct partition pairs at noon", len(qs))
+	}
+	var total indoorpath.PoolStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pool := indoorpath.NewPool(tb.graph, indoorpath.PoolOptions{
+			Engine:        indoorpath.Options{Method: indoorpath.MethodAsyn},
+			SkeletonCache: true,
+		})
+		for _, q := range qs {
+			if r := pool.RouteResult(q); r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+		st := pool.Stats()
+		total.Queries += st.Queries
+		total.EngineSearches += st.EngineSearches
+		total.FamilyBuilds += st.FamilyBuilds
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(total.EngineSearches)/float64(b.N), "searches/op")
+	b.ReportMetric(float64(total.FamilyBuilds)/float64(b.N), "builds/op")
+	if total.FamilyBuilds != 0 {
+		b.Fatalf("never-repeating pairs built %d skeleton families over %d queries", total.FamilyBuilds, total.Queries)
+	}
+	if total.EngineSearches+total.FamilyBuilds > total.Queries {
+		b.Fatalf("engine runs %d exceed queries %d", total.EngineSearches+total.FamilyBuilds, total.Queries)
+	}
+}
+
 // serverBenchSetup boots the HTTP serving stack (registry + server +
 // httptest listener) over the synth-mall testbed with caching disabled,
 // so every request is a real search and the delta against

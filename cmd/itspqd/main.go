@@ -15,9 +15,10 @@
 // departure, or static shared destination) cost one engine run
 // together instead of one each. It implies -shared-batch.
 //
-// -skeleton-cache enables the point-free answer layer: the first miss
-// between a partition pair stores the pair's door-to-door skeleton
-// family, and any later query between the same partitions — different
+// -skeleton-cache enables the point-free answer layer: a repeated miss
+// between a partition pair (its second in the same checkpoint slot, or
+// any miss of a jittered batch wave) builds the pair's door-to-door
+// skeleton family, and any later query between the same partitions — different
 // points, different departure inside the checkpoint slot — is answered
 // by composing first leg + skeleton + last leg ("hit":"skeleton"),
 // bit-identical to a fresh engine search or not served at all.

@@ -150,6 +150,24 @@
 // through to a full engine search (miss reason
 // "skeleton_uncertified"), never to an approximate answer.
 //
+// A family costs one frozen-topology Dijkstra per open entry door of
+// the source partition, several searches' worth, so the pool builds
+// one only on repeat evidence. A miss builds when its (source
+// partition, target partition, family slot) key already missed once
+// under the current graph, or when it belongs to a jittered
+// SharedPartition wave of two or more queries, which is its own
+// evidence. The family slot is the whole day for the time-blind static
+// method, so static misses count across checkpoint slots. A first,
+// unrepeated miss only records its key, in a small bounded set that a
+// schedule swap drops with the stores. The building miss stores no
+// point window: its family answers any endpoints of the pair in the
+// slot. Every build is counted: PoolStats.FamilyBuilds
+// ("families_built" in /statsz, indoorpath_pool_family_builds_total on
+// /metricsz) and a "build" trace stage carved out of the miss's store
+// stage. Builds are not queries, so the /statsz partition below is
+// unchanged. BenchmarkPoolRouteFreshPairs self-checks in CI that
+// never-repeating pairs build nothing.
+//
 // Probe order is exact cache, then validity windows, then skeletons,
 // then the engine; provenance rides the wire as "hit":"skeleton",
 // PoolStats counts SkeletonHits (the /statsz partition invariant
@@ -380,10 +398,10 @@
 // deltas across scrapes are exact) and per-request span traces. A
 // request is split into stages — decode, hold (coalescer wait), probe
 // (cache lookup), plan (batch grouping), engine (the search itself),
-// store (cache fill) and render — and each stage feeds a shared
-// per-stage histogram, so "where does a millisecond go" is answerable
-// fleet-wide, not just per slow request. The buckets follow a
-// 1–2.5–5 ladder from 10µs to 10s.
+// build (a skeleton family build), store (cache fill) and render — and
+// each stage feeds a shared per-stage histogram, so "where does a
+// millisecond go" is answerable fleet-wide, not just per slow request.
+// The buckets follow a 1–2.5–5 ladder from 10µs to 10s.
 //
 // /metricsz renders two histogram families in Prometheus text format
 // on top of the existing counters:

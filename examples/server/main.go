@@ -101,21 +101,20 @@ func main() {
 	// Point-free answers: a jittered wave — the same ER -> ward-1 crowd,
 	// but every walker stands on a DIFFERENT spot, so the exact and
 	// window caches (both keyed on endpoint points) never hit. The first
-	// route above certified the pair's door-to-door skeleton family;
-	// each jittered query is now answered by composition — first leg to
-	// the entry door, stored chain, last leg from the anchor door — and
-	// carries "hit":"skeleton" with no engine search.
+	// jittered route is the pair's second miss in the slot after the
+	// route above — the repeat evidence that builds the pair's
+	// door-to-door skeleton family; each later jittered query is
+	// answered by composition — first leg to the entry door, stored
+	// chain, last leg from the anchor door — and carries
+	// "hit":"skeleton" with no engine search.
 	var jittered string
-	for i, pts := range [][2]string{
+	for _, pts := range [][2]string{
 		{`"x":27,"y":13`, `"x":7,"y":36`},
 		{`"x":33,"y":8`, `"x":3,"y":31`},
 		{`"x":24,"y":16`, `"x":8,"y":38`},
 	} {
 		q := `{"from":{` + pts[0] + `,"floor":0},"to":{` + pts[1] + `,"floor":0},"at":"11:00"}`
-		resp := call(ts.URL, http.MethodPost, "/v1/venues/hospital/route", q)
-		if i == 0 {
-			jittered = resp
-		}
+		jittered = call(ts.URL, http.MethodPost, "/v1/venues/hospital/route", q)
 	}
 	show("jittered route (skeleton hit)", jittered)
 	if i := strings.LastIndex(jittered, `"hit"`); i >= 0 {
@@ -130,7 +129,8 @@ func main() {
 
 	// Observability: "trace": true on a solo route returns the span
 	// breakdown inline — decode, hold (coalescer wait), probe (cache),
-	// engine, store — with per-stage durations in milliseconds.
+	// engine, build (a skeleton family build), store — with per-stage
+	// durations in milliseconds.
 	traced := `{"from":{"x":30,"y":10,"floor":0},"to":{"x":5,"y":34,"floor":0},"at":"11:45","trace":true}`
 	show("route with inline trace", call(ts.URL, http.MethodPost, "/v1/venues/hospital/route", traced))
 

@@ -29,7 +29,8 @@
 //     after point-level grouping are regrouped by (source partition,
 //     target partition, departure, speed) into SharedPartition groups:
 //     their endpoints differ, so no single engine run can answer them,
-//     but one member's miss builds the pair's skeleton family
+//     but the group is its own repeat evidence: its first member's
+//     miss builds the pair's skeleton family
 //     (core.BuildSkeletonFamily) and the rest compose from it — a
 //     jittered wave out of one hot lobby collapses to about one
 //     search. Both endpoint partitions ride the key: certifiable

@@ -9,7 +9,7 @@ import (
 
 // Stage names one timed segment of a request's life. The pipeline
 // order mirrors the serving path: decode → hold → probe → plan →
-// engine → store → render.
+// engine → build → store → render.
 type Stage uint8
 
 const (
@@ -28,6 +28,11 @@ const (
 	// checkout from the pool). For shared runs one engine span
 	// serves every member of the group.
 	StageEngine
+	// StageBuild is a skeleton family build: the frozen-topology
+	// Dijkstras of core.Engine.BuildSkeletonFamily plus the family
+	// insert, carved out of the store stage of the miss that earned
+	// the build. Only misses with repeat evidence record it.
+	StageBuild
 	// StageStore covers cache insertion and, for shared-run
 	// members, restating the group answer for the member's
 	// departure.
@@ -39,7 +44,7 @@ const (
 )
 
 var stageNames = [numStages]string{
-	"decode", "hold", "probe", "plan", "engine", "store", "render",
+	"decode", "hold", "probe", "plan", "engine", "build", "store", "render",
 }
 
 func (s Stage) String() string {

@@ -442,8 +442,9 @@ func aggregatePhase(ph *Phase, results []qresult, oracle *phaseOracle, before, a
 	}
 	phr.LatencyMs = latencyDoc(lat)
 	phr.StatsDelta = statsDelta(before, after, venue)
-	if phr.StatsDelta.Queries > 0 {
-		phr.SearchesPerQuery = float64(phr.StatsDelta.EngineSearches) / float64(phr.StatsDelta.Queries)
+	if d := phr.StatsDelta; d.Queries > 0 {
+		phr.SearchesPerQuery = float64(d.EngineSearches) / float64(d.Queries)
+		phr.EngineRunsPerQuery = float64(d.EngineSearches+d.FamiliesBuilt) / float64(d.Queries)
 	}
 	addObservability(phr, before, after, venue)
 	addEffortDelta(phr, before, after, venue)
@@ -459,6 +460,7 @@ func statsDelta(before, after *server.StatsResponse, venue string) StatsDeltaDoc
 		bm, am := b.Methods[m], a.Methods[m]
 		d.Queries += am.Queries - bm.Queries
 		d.EngineSearches += am.EngineSearches - bm.EngineSearches
+		d.FamiliesBuilt += am.FamilyBuilds - bm.FamilyBuilds
 		d.ExactHits += am.CacheHits - bm.CacheHits
 		d.WindowHits += am.WindowHits - bm.WindowHits
 		d.SkeletonHits += am.SkeletonHits - bm.SkeletonHits

@@ -46,7 +46,8 @@ type ProvenanceDoc struct {
 
 // StatsDeltaDoc is the /statsz movement across one phase, summed over
 // the venue's method pools: the server-side view that latency numbers
-// are judged against. SearchesPerQuery is EngineSearches / Queries.
+// are judged against. SearchesPerQuery is EngineSearches / Queries;
+// EngineRunsPerQuery adds FamiliesBuilt to the numerator.
 type StatsDeltaDoc struct {
 	Queries        int64 `json:"queries"`
 	EngineSearches int64 `json:"engine_searches"`
@@ -57,6 +58,9 @@ type StatsDeltaDoc struct {
 	SharedRuns     int64 `json:"shared_runs"`
 	SharedAnswers  int64 `json:"shared_answers"`
 	Epoch          int64 `json:"epoch"`
+	// FamiliesBuilt counts skeleton family builds: engine work that
+	// answers no query itself (zero against daemons predating it).
+	FamiliesBuilt int64 `json:"families_built"`
 	// CoalesceFlushes / CoalescedAnswers move only when the daemon
 	// runs with -coalesce.
 	CoalesceFlushes  int64 `json:"coalesce_flushes"`
@@ -177,6 +181,10 @@ type PhaseReport struct {
 	// /statsz delta: EngineSearches / Queries (0 when no queries were
 	// counted server-side).
 	SearchesPerQuery float64 `json:"searches_per_query"`
+	// EngineRunsPerQuery counts all of the phase's engine work per
+	// query: (EngineSearches + FamiliesBuilt) / Queries from the same
+	// delta.
+	EngineRunsPerQuery float64 `json:"engine_runs_per_query"`
 	// DurationSec is the phase's wall-clock span.
 	DurationSec float64 `json:"duration_sec"`
 }
@@ -457,8 +465,9 @@ func (r *Report) HotPairsTable() string {
 }
 
 // EffortTable renders the per-phase engine-effort movement as an
-// aligned text table (printed by itspqreplay -v). Empty when no phase
-// carries an effort delta.
+// aligned text table (printed by itspqreplay -v), with the phase's
+// family builds and engine runs per query (builds included) beside
+// the search effort. Empty when no phase carries an effort delta.
 func (r *Report) EffortTable() string {
 	var sb strings.Builder
 	header := false
@@ -469,12 +478,13 @@ func (r *Report) EffortTable() string {
 			continue
 		}
 		if !header {
-			fmt.Fprintf(&sb, "%-14s %9s %10s %10s %13s %13s\n",
-				"phase", "searches", "mean_pops", "p95_pops", "mean_tvcheck", "p95_tvcheck")
+			fmt.Fprintf(&sb, "%-14s %9s %7s %10s %10s %10s %13s %13s\n",
+				"phase", "searches", "builds", "runs/query", "mean_pops", "p95_pops", "mean_tvcheck", "p95_tvcheck")
 			header = true
 		}
-		fmt.Fprintf(&sb, "%-14s %9d %10.1f %10.1f %13.1f %13.1f\n",
-			ph.Name, e.Searches, e.MeanPops, e.P95Pops, e.MeanTVChecks, e.P95TVChecks)
+		fmt.Fprintf(&sb, "%-14s %9d %7d %10.3f %10.1f %10.1f %13.1f %13.1f\n",
+			ph.Name, e.Searches, ph.StatsDelta.FamiliesBuilt, ph.EngineRunsPerQuery,
+			e.MeanPops, e.P95Pops, e.MeanTVChecks, e.P95TVChecks)
 	}
 	return sb.String()
 }
@@ -562,6 +572,8 @@ func (ph *PhaseReport) metricValue(metric string) float64 {
 		return float64(ph.MixedAnswers)
 	case MetricSearchesPerQuery:
 		return ph.SearchesPerQuery
+	case MetricEngineRunsPerQuery:
+		return ph.EngineRunsPerQuery
 	case MetricP50Ms:
 		return ph.LatencyMs.P50
 	case MetricP95Ms:
@@ -583,22 +595,26 @@ func (ph *PhaseReport) metricValue(metric string) float64 {
 }
 
 // overallMetric aggregates a metric across phases. Counts sum;
-// searches/query re-derives from the summed deltas; percentile
+// the per-query rates re-derive from the summed deltas; percentile
 // metrics take the worst phase (a regression anywhere must trip a
 // bound, and per-phase latency populations are not mergeable from
 // percentiles alone).
 func (r *Report) overallMetric(metric string) float64 {
 	switch metric {
-	case MetricSearchesPerQuery:
-		var searches, queries int64
+	case MetricSearchesPerQuery, MetricEngineRunsPerQuery:
+		var runs, queries int64
 		for i := range r.Phases {
-			searches += r.Phases[i].StatsDelta.EngineSearches
-			queries += r.Phases[i].StatsDelta.Queries
+			d := &r.Phases[i].StatsDelta
+			runs += d.EngineSearches
+			if metric == MetricEngineRunsPerQuery {
+				runs += d.FamiliesBuilt
+			}
+			queries += d.Queries
 		}
 		if queries == 0 {
 			return 0
 		}
-		return float64(searches) / float64(queries)
+		return float64(runs) / float64(queries)
 	case MetricP50Ms, MetricP95Ms, MetricP99Ms, MetricMaxMs:
 		worst := 0.0
 		for i := range r.Phases {

@@ -170,12 +170,15 @@ const (
 	MetricExactHits        = "exact_hits"    // answers flagged hit=exact
 	MetricWindowHits       = "window_hits"   // answers flagged hit=window
 	MetricSkeletonHits     = "skeleton_hits" // answers flagged hit=skeleton
+	// MetricEngineRunsPerQuery is (engine searches + skeleton family
+	// builds) / served queries, from the same /statsz deltas.
+	MetricEngineRunsPerQuery = "engine_runs_per_query"
 )
 
 // validMetrics is the closed set of metric names.
 var validMetrics = map[string]bool{
 	MetricQueries: true, MetricErrors: true, MetricTimeouts: true,
-	MetricMixedAnswers: true, MetricSearchesPerQuery: true,
+	MetricMixedAnswers: true, MetricSearchesPerQuery: true, MetricEngineRunsPerQuery: true,
 	MetricP50Ms: true, MetricP95Ms: true, MetricP99Ms: true, MetricMaxMs: true,
 	MetricCoalesced: true, MetricExactHits: true, MetricWindowHits: true,
 	MetricSkeletonHits: true,
@@ -440,6 +443,10 @@ func Builtin(name string, quick bool) (*Scenario, error) {
 				// at or under half an engine search per query.
 				{Phase: "rush", Metric: MetricSkeletonHits, Op: ">", Value: 0},
 				{Phase: "rush", Metric: MetricSearchesPerQuery, Op: "<=", Value: 0.5},
+				// The same half-run bound with skeleton family builds
+				// counted as engine runs: a build only pays off when its
+				// pair repeats, so the builds must stay amortised too.
+				{Phase: "rush", Metric: MetricEngineRunsPerQuery, Op: "<=", Value: 0.5},
 				{Phase: "flash-crowd", Metric: MetricSearchesPerQuery, Op: "<", Value: 0.25},
 				{Phase: "flip-storm", Metric: MetricMixedAnswers, Op: "==", Value: 0},
 				// Generous static latency bound: the regression gate for

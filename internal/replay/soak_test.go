@@ -246,3 +246,34 @@ func TestRunRejectsMissingVenue(t *testing.T) {
 		t.Fatal("Run accepted a daemon without the scenario's venue")
 	}
 }
+
+// TestReplayCountsFamilyBuilds: the per-phase engine_runs_per_query
+// adds the phase's skeleton family builds (from the /statsz
+// families_built delta) to its engine searches, and the overall metric
+// re-derives from the summed deltas. The neighborhood scout repeats
+// each warmed pair, so it must build at least one family.
+func TestReplayCountsFamilyBuilds(t *testing.T) {
+	rep := runBuiltin(t, ScenarioNeighborhood, true)
+	scout := rep.phase("scout")
+	if scout == nil || scout.StatsDelta.FamiliesBuilt == 0 {
+		t.Fatalf("scout phase built no family: %+v", scout)
+	}
+	var runs, queries int64
+	for i := range rep.Phases {
+		ph := &rep.Phases[i]
+		d := ph.StatsDelta
+		if d.Queries == 0 {
+			continue
+		}
+		want := float64(d.EngineSearches+d.FamiliesBuilt) / float64(d.Queries)
+		if ph.EngineRunsPerQuery != want || ph.EngineRunsPerQuery < ph.SearchesPerQuery {
+			t.Fatalf("%s: engine_runs_per_query %v, want %v (searches_per_query %v)",
+				ph.Name, ph.EngineRunsPerQuery, want, ph.SearchesPerQuery)
+		}
+		runs += d.EngineSearches + d.FamiliesBuilt
+		queries += d.Queries
+	}
+	if got, want := rep.overallMetric(MetricEngineRunsPerQuery), float64(runs)/float64(queries); got != want {
+		t.Fatalf("overall engine_runs_per_query = %v, want %v", got, want)
+	}
+}

@@ -53,6 +53,9 @@ var poolMetrics = []metricDef{
 	{"indoorpath_pool_engine_searches_total", "counter",
 		"Queries answered by running an engine search (cache misses).",
 		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].EngineSearches }},
+	{"indoorpath_pool_family_builds_total", "counter",
+		"Skeleton family builds that returned a family (engine work beside searches; builds need repeat evidence).",
+		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].FamilyBuilds }},
 	{"indoorpath_pool_shared_runs_total", "counter",
 		"Multi-query shared executions: engine runs answering a whole batch group.",
 		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].SharedRuns }},

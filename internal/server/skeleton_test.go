@@ -39,9 +39,10 @@ func skelRoute(t testing.TB, base string, from, to PointDoc, at string) RouteRes
 }
 
 // TestSkeletonServerEndToEnd drives the CI-smoke scenario through the
-// full HTTP stack: a first ER-to-ward route misses and builds the
-// pair's skeleton family, a second route between DIFFERENT points of
-// the same partitions answers "hit":"skeleton", and every
+// full HTTP stack: two ER-to-ward routes miss (the second, with
+// repeat evidence, builds the pair's skeleton family), a third route
+// between DIFFERENT points of the same partitions answers
+// "hit":"skeleton", and every
 // introspection surface tells the same story.
 func TestSkeletonServerEndToEnd(t *testing.T) {
 	ts := newSkeletonTestServer(t)
@@ -50,6 +51,9 @@ func TestSkeletonServerEndToEnd(t *testing.T) {
 	if !first.Found || first.CacheHit || first.Hit != "miss" {
 		t.Fatalf("first route = found %v hit %q, want an engine miss", first.Found, first.Hit)
 	}
+	// A second seeding miss at different points of the same pair is the
+	// repeat evidence that builds the pair's family.
+	skelRoute(t, ts.URL, PointDoc{X: 29, Y: 11, Floor: 0}, PointDoc{X: 6, Y: 35, Floor: 0}, "10:35")
 	second := skelRoute(t, ts.URL, PointDoc{X: 27, Y: 13, Floor: 0}, PointDoc{X: 7, Y: 36, Floor: 0}, "10:40")
 	if !second.Found || !second.CacheHit || second.Hit != "skeleton" {
 		t.Fatalf("second route = found %v cache_hit %v hit %q, want a skeleton composition",
@@ -250,5 +254,68 @@ func TestRaceStatszSkeleton(t *testing.T) {
 	}
 	if st.CacheHits+st.WindowHits+st.SkeletonHits+st.CacheMisses()+st.Deduped != st.Queries {
 		t.Fatalf("final statsz does not partition: %+v", st)
+	}
+}
+
+// TestFamilyBuildsOnTheWire: a skeleton family build is counted on
+// every surface — families_built in /statsz, the family-builds series
+// and the build stage on /metricsz, and a build span in the building
+// request's own trace — while the /statsz query partition ignores it
+// (builds are not queries) and the trace's spans still fit inside the
+// request.
+func TestFamilyBuildsOnTheWire(t *testing.T) {
+	ts := newSkeletonTestServer(t)
+	stats := func() service.Stats {
+		t.Helper()
+		var sr StatsResponse
+		getJSON(t, ts.URL+"/statsz", &sr)
+		return sr.Venues["hospital"].Methods["asyn"]
+	}
+
+	skelRoute(t, ts.URL, erCentre, wardCentre, "10:30")
+	if st := stats(); st.FamilyBuilds != 0 {
+		t.Fatalf("families_built = %d after one unrepeated miss, want 0", st.FamilyBuilds)
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/venues/hospital/route", map[string]any{
+		"from": PointDoc{X: 27, Y: 13, Floor: 0}, "to": PointDoc{X: 7, Y: 36, Floor: 0},
+		"at": "10:40", "trace": true,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("route status = %d: %s", resp.StatusCode, raw)
+	}
+	var out RouteResponse
+	decodeInto(t, raw, &out)
+	if out.Hit != "miss" || out.Trace == nil {
+		t.Fatalf("building route hit=%q trace=%v, want a traced miss", out.Hit, out.Trace != nil)
+	}
+	builds := 0
+	var sumMs float64
+	for _, sp := range out.Trace.Spans {
+		if sp.Stage == "build" {
+			builds++
+		}
+		sumMs += sp.DurationMs
+	}
+	if builds != 1 {
+		t.Fatalf("building route trace has %d build spans, want 1 (%+v)", builds, out.Trace.Spans)
+	}
+	if sumMs > out.Trace.DurationMs+1.0 {
+		t.Fatalf("span durations sum to %.3fms > request latency %.3fms", sumMs, out.Trace.DurationMs)
+	}
+
+	st := stats()
+	if st.FamilyBuilds != 1 || st.Queries != 2 || st.EngineSearches != 2 {
+		t.Fatalf("statsz families_built %d queries %d engine_searches %d, want 1 2 2", st.FamilyBuilds, st.Queries, st.EngineSearches)
+	}
+	if st.CacheHits+st.WindowHits+st.SkeletonHits+st.Deduped+st.CacheMisses() != st.Queries {
+		t.Fatalf("statsz partition broken: %+v", st)
+	}
+	_, mraw := doJSON(t, http.MethodGet, ts.URL+"/metricsz", nil)
+	body := string(mraw)
+	if got := metricValue(t, body, `indoorpath_pool_family_builds_total{venue="hospital",method="asyn"}`); got != 1 {
+		t.Fatalf("family builds metric = %d, want 1", got)
+	}
+	if got := metricValue(t, body, `indoorpath_stage_seconds_count{stage="build"}`); got != 1 {
+		t.Fatalf("build stage count = %d, want 1", got)
 	}
 }

@@ -371,7 +371,7 @@ type StatsResponse struct {
 	// goroutines) so scrape pairs can be rate-normalised.
 	Process *ProcessStatsDoc `json:"process,omitempty"`
 	// Stages are the process-wide per-stage duration histograms
-	// (decode, hold, probe, plan, engine, store, render), keyed by
+	// (decode, hold, probe, plan, engine, build, store, render), keyed by
 	// stage name.
 	Stages map[string]obs.HistogramSnapshot `json:"stage_seconds,omitempty"`
 }

@@ -193,3 +193,38 @@ func (c *resultCache) usage() (size, capacity int, evicted int64) {
 	defer c.mu.RUnlock()
 	return c.size, c.cap, c.evicted
 }
+
+// missEvidence is the skeleton layer's build policy: the bounded set
+// of family keys — (source partition, target partition, family slot) —
+// that already missed once under the current backend. A family costs
+// one frozen-topology Dijkstra per entry door and pays off only when
+// its pair repeats in its slot, so a miss builds only on repeat
+// evidence: its key is already recorded here, or it belongs to a
+// jittered SharedPartition wave (routePartitionGroup records the key
+// for the wave up front). It lives on poolBackend, so a graph swap
+// drops it together with the stores it feeds. The zero value is ready
+// to use.
+type missEvidence struct {
+	mu   sync.Mutex
+	seen map[cacheKey]struct{}
+}
+
+// missEvidenceCapacity bounds missEvidence. A full set starts over,
+// which costs each pair in it at most one more unbuilt miss.
+const missEvidenceCapacity = 1024
+
+// repeat records k and reports whether it was already recorded.
+func (m *missEvidence) repeat(k cacheKey) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.seen[k]; ok {
+		return true
+	}
+	if m.seen == nil {
+		m.seen = make(map[cacheKey]struct{})
+	} else if len(m.seen) >= missEvidenceCapacity {
+		clear(m.seen)
+	}
+	m.seen[k] = struct{}{}
+	return false
+}

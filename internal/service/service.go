@@ -68,19 +68,23 @@ type Options struct {
 	// value (budgeted independently — see tcache).
 	WindowCapacity int
 	// SkeletonCache enables the point-free skeleton layer
-	// (core.SkeletonFamily in internal/tcache): the first engine miss
-	// on a (source partition, target partition) pair also builds the
-	// pair's door-to-door chain table for the departure's checkpoint
-	// slot, and a later query between ANY points of the same pair in
-	// the same slot is answered by composing first-leg + stored chain +
-	// last-leg (core.ComposeSkeletonPath) — byte-identical to a fresh
-	// search, no engine run. Compositions that cannot be certified fall
-	// through to an engine with obs.ReasonSkeletonUncertified
-	// provenance. Probe order: exact cache, point windows, skeletons,
-	// engine. Families obey the same swap/invalidation semantics as
-	// windows and are disabled alongside them by a negative
-	// WindowCapacity or by the SinglePartitionExpansion ablation. Off
-	// by default.
+	// (core.SkeletonFamily in internal/tcache): an engine miss on a
+	// (source partition, target partition) pair with repeat evidence —
+	// the pair already missed once in the same family slot under the
+	// current graph, or the miss is part of a jittered SharedPartition
+	// wave — also builds the pair's door-to-door chain table for the
+	// departure's checkpoint slot (the whole day for MethodStatic); a
+	// first, unrepeated miss only records the pair. A later query
+	// between ANY points of the pair in the slot is answered by
+	// composing first-leg + stored chain + last-leg
+	// (core.ComposeSkeletonPath) — byte-identical to a fresh search,
+	// no engine run. Stats.FamilyBuilds counts the builds.
+	// Compositions that cannot be certified fall through to an engine
+	// with obs.ReasonSkeletonUncertified provenance. Probe order: exact
+	// cache, point windows, skeletons, engine. Families obey the same
+	// swap/invalidation semantics as windows and are disabled alongside
+	// them by a negative WindowCapacity or by the
+	// SinglePartitionExpansion ablation. Off by default.
 	SkeletonCache bool
 	// SharedBatch enables the shared-execution batch planner
 	// (internal/batchplan): RouteBatch partitions each batch into
@@ -179,6 +183,11 @@ type Stats struct {
 	// SharedAnswers counts batch entries answered by a shared run —
 	// each cost 1/groupsize of a search instead of a search.
 	SharedAnswers int64 `json:"shared_answers"`
+	// FamilyBuilds counts skeleton family builds that returned a
+	// family, inserts that lost to a concurrent same-slot build
+	// included: engine work on top of EngineSearches. Builds are not
+	// queries, so they stay outside the hit/miss partition.
+	FamilyBuilds int64 `json:"families_built"`
 	// Epoch is the backend generation: the number of SetGraph /
 	// UpdateSchedules swaps since the pool was built. A response
 	// computed at epoch N can never be served once epoch N+1 begins
@@ -299,6 +308,8 @@ type poolBackend struct {
 	engines sync.Pool
 	cache   *resultCache  // nil when caching is disabled
 	windows *tcache.Store // nil unless Options.WindowCache
+	// evidence gates skeleton family builds (see missEvidence).
+	evidence missEvidence
 }
 
 // Pool serves ITSPQ queries concurrently over one shared IT-Graph. It
@@ -322,6 +333,7 @@ type Pool struct {
 	engineSearches atomic.Int64
 	sharedRuns     atomic.Int64
 	sharedAnswers  atomic.Int64
+	familyBuilds   atomic.Int64
 	swapEpoch      atomic.Int64
 
 	// reasonCounts are the cumulative decision-provenance tallies,
@@ -557,6 +569,7 @@ func (p *Pool) Stats() Stats {
 		EngineSearches:  p.engineSearches.Load(),
 		SharedRuns:      p.sharedRuns.Load(),
 		SharedAnswers:   p.sharedAnswers.Load(),
+		FamilyBuilds:    p.familyBuilds.Load(),
 		Epoch:           p.swapEpoch.Load(),
 		CacheEntries:    int64(cacheSize),
 		CacheCapacity:   int64(cacheCap),
@@ -676,7 +689,7 @@ func (p *Pool) routeKeyed(tr *obs.Trace, b *poolBackend, q core.Query, key cache
 	}
 	r = Result{Path: path, Stats: stats, Err: err, Hit: HitMiss}
 	sp = tr.Start(obs.StageStore)
-	if p.storeOutcome(b, e, q, key, ekey, cacheable, r, epoch, wepoch) {
+	if p.storeOutcome(tr, &sp, b, e, q, key, ekey, cacheable, r, epoch, wepoch) {
 		// The computed outcome was discarded by an epoch guard: the
 		// cache state this miss reasoned about no longer exists.
 		reason = obs.ReasonEpochRaced
@@ -795,37 +808,33 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 }
 
 // storeOutcome feeds one computed outcome into the exact and window
-// caches, and — when the skeleton layer is on and the pair has no
-// family covering this departure yet — builds and stores the pair's
-// skeleton family, riding the same engine checkout (the build is part
-// of the triggering miss's cost; later same-pair queries compose
-// instead of searching). The engine that produced (or rebased) the
-// answer must still be checked out: the window derivation replays its
-// leg arithmetic and the family build runs its frozen Dijkstras.
-// Reports whether an insert was discarded by an epoch guard (an
-// invalidation ran while the search was in flight) — the epoch_raced
-// provenance.
-func (p *Pool) storeOutcome(b *poolBackend, e *core.Engine, q core.Query, key cacheKey, ekey entryKey,
-	cacheable bool, r Result, epoch, wepoch uint64) (raced bool) {
+// caches and, when the miss has earned it, the skeleton store. A build
+// is due when the skeleton layer is on, no family covers the departure
+// yet and the miss carries repeat evidence (missEvidence): its family
+// key already missed once under this backend, or a SharedPartition
+// wave recorded it. A first, unrepeated miss only records its key. A
+// due build runs on the same engine checkout as its own build span,
+// carved out of the caller's open store span sp (ended before the
+// build, reopened after it). The building miss stores no point-window
+// entry: its family answers any endpoints of the pair in the slot, so
+// the window would be dead weight. The engine that produced (or
+// rebased) the answer must still be checked out: the window derivation
+// replays its leg arithmetic and the family build runs its frozen
+// Dijkstras. Reports whether an insert was discarded by an epoch guard
+// (an invalidation ran while the search was in flight) — the
+// epoch_raced provenance.
+func (p *Pool) storeOutcome(tr *obs.Trace, sp *obs.Span, b *poolBackend, e *core.Engine, q core.Query,
+	key cacheKey, ekey entryKey, cacheable bool, r Result, epoch, wepoch uint64) (raced bool) {
 
-	if cacheable && b.cache != nil {
-		if !b.cache.put(key, ekey, entryFor(b, key, r), epoch) {
-			raced = true
-		}
-	}
-	if cacheable && b.windows != nil && p.opts.WindowCache && r.Err == nil && r.Path != nil {
-		if went := windowEntryFor(e, q, r.Path, r.Stats); went != nil {
-			// Insert also rejects overlaps and degenerate windows; only
-			// an epoch move counts as a race.
-			if !b.windows.Insert(windowKey(key), windowPointKey(ekey), went, wepoch) &&
-				b.windows.Epoch() != wepoch {
-				raced = true
-			}
-		}
-	}
+	built := false
 	if cacheable && p.skeletonEnabled(b) && key.src != key.tgt && r.Err == nil {
-		if _, mk := b.windows.ProbeFamily(windowKey(key), ekey.at); mk != tcache.MissNone {
+		if _, mk := b.windows.ProbeFamily(windowKey(key), ekey.at); mk != tcache.MissNone &&
+			b.evidence.repeat(p.familyKey(key)) {
+			sp.End()
+			bsp := tr.Start(obs.StageBuild)
 			if fam := e.BuildSkeletonFamily(key.src, key.tgt, ekey.at); fam != nil {
+				built = true
+				p.familyBuilds.Add(1)
 				fe := &tcache.FamilyEntry{Window: fam.Window, Fam: fam, Stats: r.Stats}
 				// A losing insert against a concurrent same-slot build is
 				// not a race — identical families, first-in wins. Only an
@@ -835,9 +844,37 @@ func (p *Pool) storeOutcome(b *poolBackend, e *core.Engine, q core.Query, key ca
 					raced = true
 				}
 			}
+			bsp.End()
+			*sp = tr.Start(obs.StageStore)
+		}
+	}
+	if cacheable && b.cache != nil {
+		if !b.cache.put(key, ekey, entryFor(b, key, r), epoch) {
+			raced = true
+		}
+	}
+	if !built && cacheable && b.windows != nil && p.opts.WindowCache && r.Err == nil && r.Path != nil {
+		if went := windowEntryFor(e, q, r.Path, r.Stats); went != nil {
+			// Insert also rejects overlaps and degenerate windows; only
+			// an epoch move counts as a race.
+			if !b.windows.Insert(windowKey(key), windowPointKey(ekey), went, wepoch) &&
+				b.windows.Epoch() != wepoch {
+				raced = true
+			}
 		}
 	}
 	return raced
+}
+
+// familyKey is a miss's missEvidence key: its partition pair and the
+// slot of the family that would cover it — the departure's checkpoint
+// slot, or core.SkeletonStaticSlot (the whole day) for the time-blind
+// static method, whose misses count as evidence across slots.
+func (p *Pool) familyKey(key cacheKey) cacheKey {
+	if p.opts.Engine.Method == core.MethodStatic {
+		key.slot = core.SkeletonStaticSlot
+	}
+	return key
 }
 
 // windowKey and windowPointKey project the exact-cache keys onto the
@@ -1258,7 +1295,7 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 		r := Result{Path: path, Stats: stats, Err: err, Hit: HitMiss}
 		sp = tr.Start(obs.StageStore)
 		reason := pm.reason
-		if p.storeOutcome(b, e, qs[pm.i], keys[pm.i], ekeys[pm.i], true, r, pm.epoch, pm.wepoch) {
+		if p.storeOutcome(tr, &sp, b, e, qs[pm.i], keys[pm.i], ekeys[pm.i], true, r, pm.epoch, pm.wepoch) {
 			reason = obs.ReasonEpochRaced
 		}
 		sp.End()
@@ -1314,7 +1351,7 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 		p.sharedAnswers.Add(int64(nShared))
 	}
 	sp = tr.Start(obs.StageStore)
-	defer sp.End()
+	defer func() { sp.End() }() // storeOutcome may reopen sp around a build
 	for k, pm := range rem {
 		o := outs[k]
 		path := o.Path
@@ -1330,7 +1367,7 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 			SharedRun: counted && fromRun,
 		}
 		reason := pm.reason
-		if p.storeOutcome(b, e, qs[pm.i], keys[pm.i], ekeys[pm.i], true, r, pm.epoch, pm.wepoch) {
+		if p.storeOutcome(tr, &sp, b, e, qs[pm.i], keys[pm.i], ekeys[pm.i], true, r, pm.epoch, pm.wepoch) {
 			reason = obs.ReasonEpochRaced
 		}
 		r.Explain = reason
@@ -1370,9 +1407,12 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 // sharing (source partition, target partition, departure, speed) but
 // not their exact endpoints, served sequentially so that the first
 // member's miss builds the pair's skeleton family (inside routeKeyed's
-// store stage) and every later member composes from it — a jittered
-// wave out of one hot lobby collapses to about one engine search. Each
-// member runs the full probe/engine/store path of a solo query, so
+// storeOutcome, traced as a build span) and every later member
+// composes from it — a jittered wave out of one hot lobby collapses to
+// about one engine search. A wave of two or more members is its own
+// repeat evidence: the group records the pair's family key before
+// routing, so its first miss builds without waiting for a second one.
+// Each member runs the full probe/engine/store path of a solo query, so
 // hit, miss and provenance accounting are identical to the unplanned
 // flow; members the family cannot certify fall back to dedicated
 // searches and are booked as singleton-group solo decisions (the
@@ -1380,6 +1420,9 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 func (p *Pool) routePartitionGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items []batchplan.Item,
 	grp *batchplan.Group, keys []cacheKey, ekeys []entryKey, out []Result) {
 
+	if len(grp.Members) >= 2 {
+		b.evidence.repeat(p.familyKey(keys[items[grp.Members[0]].Index]))
+	}
 	produced := false
 	for _, m := range grp.Members {
 		i := items[m].Index

@@ -84,7 +84,10 @@ func TestSkeletonPoolStatsPartition(t *testing.T) {
 		SkeletonCache: true,
 	})
 	at := temporal.Clock(12, 0, 0)
-	pool.RouteBatch(jitterPair(rng, 0, 0, 2, 2, at, 20))
+	// Warm-up with repeat evidence: (0,0)->(0,1) is this venue's
+	// routable pair at noon, so its second miss builds the family the
+	// rest of the wave composes from.
+	pool.RouteBatch(jitterPair(rng, 0, 0, 0, 1, at, 20))
 	pool.RouteBatch(jitterPair(rng, 0, 2, 2, 0, at, 20))
 	for _, q := range randomQueries(rng, 60, 30, 30) {
 		pool.Route(q)
@@ -166,8 +169,14 @@ func TestSkeletonUncertifiedProvenance(t *testing.T) {
 		CacheCapacity: -1,
 		SkeletonCache: true,
 	})
+	// Two seeding misses at different points of the pair: the second
+	// has repeat evidence and builds the family.
 	seed := core.Query{Source: geom.Pt(2, 5, 0), Target: geom.Pt(18, 5, 0), At: temporal.Clock(12, 0, 0)}
 	if r := pool.RouteResult(seed); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	seed2 := core.Query{Source: geom.Pt(3, 6, 0), Target: geom.Pt(17, 6, 0), At: temporal.Clock(12, 0, 0)}
+	if r := pool.RouteResult(seed2); r.Err != nil {
 		t.Fatal(r.Err)
 	}
 	// 16:00:00 - 2s: inside the slot, but ~16 m of walk cannot finish
@@ -336,4 +345,97 @@ func TestSkeletonInvalidation(t *testing.T) {
 	if got := pool.Stats().SkelFamilies; got != 0 {
 		t.Fatalf("SkelFamilies = %d after InvalidateCache", got)
 	}
+}
+
+// TestSkeletonBuildNeedsRepeatEvidence pins the build policy: a family
+// is built only when its (pair, family slot) key already missed once
+// under the current backend, or when the miss belongs to a jittered
+// SharedPartition wave; the building miss stores no point window; and
+// every build is counted.
+func TestSkeletonBuildNeedsRepeatEvidence(t *testing.T) {
+	b := model.NewBuilder("evidence")
+	hall := b.AddPartition("hall", model.PublicPartition, geom.NewRect(0, 0, 10, 10, 0))
+	room := b.AddPartition("room", model.PublicPartition, geom.NewRect(10, 0, 20, 10, 0))
+	front := b.AddDoor("front", model.PublicDoor, geom.Pt(10, 5, 0), nil)
+	side := b.AddDoor("side", model.PublicDoor, geom.Pt(10, 2, 0),
+		temporal.MustSchedule(temporal.MustInterval(temporal.Clock(8, 0, 0), temporal.Clock(16, 0, 0))))
+	b.ConnectBi(front, hall, room)
+	b.ConnectBi(side, hall, room)
+	g := itgraph.MustNew(b.MustBuild())
+
+	// Endpoint pair k of the one hall -> room partition pair, departing
+	// at hour h (the side door splits the day into three slots).
+	query := func(k, h int) core.Query {
+		d := float64(k)
+		return core.Query{Source: geom.Pt(2+d, 5+d/2, 0), Target: geom.Pt(18-d, 5+d/2, 0), At: temporal.Clock(h, 0, 0)}
+	}
+	route := func(pool *Pool, q core.Query) Result {
+		t.Helper()
+		r := pool.RouteResult(q)
+		if r.Err != nil {
+			t.Fatalf("route %v: %v", q, r.Err)
+		}
+		return r
+	}
+	want := func(pool *Pool, step string, builds, families, windows int64) {
+		t.Helper()
+		st := pool.Stats()
+		if st.FamilyBuilds != builds || st.SkelFamilies != families || st.Windows != windows {
+			t.Fatalf("%s: FamilyBuilds %d SkelFamilies %d Windows %d, want %d %d %d (%v)",
+				step, st.FamilyBuilds, st.SkelFamilies, st.Windows, builds, families, windows, st)
+		}
+	}
+
+	pool := New(g, Options{
+		Engine:        core.Options{Method: core.MethodSyn},
+		CacheCapacity: -1,
+		WindowCache:   true,
+		SkeletonCache: true,
+	})
+	route(pool, query(0, 12))
+	want(pool, "first miss", 0, 0, 1)
+	if r := route(pool, query(1, 12)); r.Hit != HitMiss {
+		t.Fatalf("second noon query hit=%q, want a miss", r.Hit)
+	}
+	// The building miss stores its family but no point window.
+	want(pool, "second miss, same pair and slot", 1, 1, 1)
+	if r := route(pool, query(2, 12)); r.Hit != HitSkeleton {
+		t.Fatalf("third noon query hit=%q, want a composition", r.Hit)
+	}
+	route(pool, query(0, 18))
+	want(pool, "first miss in another slot", 1, 1, 2)
+
+	// A swap drops the evidence with the stores: the evening key that
+	// missed once above counts for nothing on the new backend.
+	pool.SetGraph(g)
+	route(pool, query(1, 18))
+	want(pool, "first miss after SetGraph", 1, 0, 1)
+	route(pool, query(2, 18))
+	want(pool, "second miss after SetGraph", 2, 1, 1)
+
+	// Static families cover the whole day, so static misses count as
+	// evidence across checkpoint slots.
+	static := New(g, Options{
+		Engine:        core.Options{Method: core.MethodStatic},
+		CacheCapacity: -1,
+		SkeletonCache: true,
+	})
+	route(static, query(0, 3))
+	want(static, "static first miss", 0, 0, 0)
+	route(static, query(1, 20))
+	want(static, "static second miss, other slot", 1, 1, 0)
+
+	// A jittered wave is its own evidence: a two-member SharedPartition
+	// group builds on its first member and composes the second.
+	wave := New(g, Options{
+		Engine:        core.Options{Method: core.MethodSyn},
+		CacheCapacity: -1,
+		SkeletonCache: true,
+		SharedBatch:   true,
+	})
+	rs, sum := wave.RouteBatchSummary([]core.Query{query(0, 12), query(1, 12)})
+	if rs[0].Hit != HitMiss || rs[1].Hit != HitSkeleton || sum.Searches != 1 {
+		t.Fatalf("wave hits %q/%q, %d searches, want miss/skeleton and 1", rs[0].Hit, rs[1].Hit, sum.Searches)
+	}
+	want(wave, "wave", 1, 1, 0)
 }
