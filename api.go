@@ -266,8 +266,9 @@ func NewPool(g *Graph, opts PoolOptions) *ServicePool { return service.New(g, op
 // Request-coalescing types (see internal/coalesce).
 type (
 	// Coalescer is the standing cross-batch request coalescer: solo
-	// Route calls are held for a few milliseconds and flushed together
-	// through one shared-execution batch, so shareable singleton
+	// Route calls that miss the pool's caches are held for a few
+	// milliseconds and flushed together through one shared-execution
+	// batch (cache hits are answered at once), so shareable singleton
 	// queries arriving on separate requests (same source point,
 	// departure and speed — or a static shared destination) are
 	// answered by ONE engine run. Every caller still receives exactly
@@ -277,7 +278,7 @@ type (
 	// bound) and the maximum group size per flush.
 	CoalescerOptions = coalesce.Options
 	// CoalescerStats are cumulative coalescer counters, including the
-	// hold-time histogram.
+	// probe hits answered before the hold and the hold-time histogram.
 	CoalescerStats = coalesce.Stats
 )
 

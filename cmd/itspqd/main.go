@@ -9,11 +9,13 @@
 //	itspqd -addr :9000 -preset mall -workers 8     # tuned
 //	itspqd -preset mall -coalesce -coalesce-hold 2ms   # cross-request coalescing
 //
-// -coalesce holds each solo route request for up to -coalesce-hold and
-// flushes the accumulated queries as ONE shared-execution batch, so
-// shareable singletons arriving on separate requests (same source and
-// departure, or static shared destination) cost one engine run
-// together instead of one each. It implies -shared-batch.
+// -coalesce holds each solo route request that misses every answer
+// tier for up to -coalesce-hold and flushes the accumulated queries as
+// ONE shared-execution batch, so shareable singletons arriving on
+// separate requests (same source and departure, or static shared
+// destination) cost one engine run together instead of one each. Cache
+// hits are answered before the hold and never wait. It implies
+// -shared-batch.
 //
 // -skeleton-cache enables the point-free answer layer: a repeated miss
 // between a partition pair (its second in the same checkpoint slot, or
@@ -84,8 +86,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		window  = fs.Bool("window-cache", false, "enable the validity-window temporal result cache (cross-time cache hits)")
 		skel    = fs.Bool("skeleton-cache", false, "enable the door-to-door skeleton store (cross-point cache hits: compose answers for any points of a cached partition pair)")
 		shared  = fs.Bool("shared-batch", false, "enable the shared-execution batch planner (one engine run answers each same-endpoint batch group)")
-		coal    = fs.Bool("coalesce", false, "coalesce concurrent solo route requests into shared engine runs (implies -shared-batch)")
-		hold    = fs.Duration("coalesce-hold", 0, "coalescer accumulation window (0 = 2ms default); solo requests wait at most this long for company")
+		coal    = fs.Bool("coalesce", false, "coalesce concurrent solo route requests that miss the caches into shared engine runs; hits are answered without waiting (implies -shared-batch)")
+		hold    = fs.Duration("coalesce-hold", 0, "coalescer accumulation window (0 = 2ms default); solo cache misses wait at most this long for company")
 		timeout = fs.Duration("timeout", 0, "per-request timeout (0 = server default, negative = none)")
 		debug   = fs.String("debug-addr", "", "optional second listen address serving net/http/pprof (e.g. 127.0.0.1:6060); kept off the serving mux so profiling is never exposed with the API")
 	)

@@ -222,9 +222,12 @@
 // Shared execution only helps queries that arrive in the same
 // RouteBatch call; under live traffic shareable singletons arrive
 // milliseconds apart on separate requests, each paying a full search.
-// NewCoalescer puts a standing accumulator in front of a pool: solo
-// Route calls enqueue into a small hold window (CoalescerOptions.Hold,
-// default 2ms; the first arrival arms the flush timer) and the held
+// NewCoalescer puts a standing accumulator in front of a pool. Every
+// solo Route call first probes the pool's answer tiers (exact, window,
+// skeleton) on the caller's goroutine, and a hit is answered there:
+// it needs no computation, so it has nothing to share and never waits.
+// Only misses enqueue into a small hold window (CoalescerOptions.Hold,
+// default 2ms; the first miss arms the flush timer), and the held
 // queries are flushed as ONE shared-execution batch through
 // RouteBatchSummary — planned with the same batchplan grouping keys
 // and executed with the same engine primitives, so every caller
@@ -233,18 +236,22 @@
 // Non-shareable arrivals simply plan Solo inside the flush; reaching
 // CoalescerOptions.MaxGroup flushes immediately. The semantics:
 //
-//   - Latency bound: a request waits at most the hold window plus one
-//     flush execution; singleton windows flush on the timer and cost
-//     nothing but the hold.
+//   - Latency bound: a hit waits for nothing; a miss waits at most
+//     the hold window plus one flush execution; singleton windows
+//     flush on the timer and cost nothing but the hold. The flush
+//     probes again, so a miss racing a concurrent store is served
+//     from the cache, not searched twice.
 //   - Swap atomicity: one flush is one RouteBatchSummary call pinning
 //     one pool backend, so a held queue racing
 //     SetGraph/UpdateSchedules drains entirely old or entirely new,
 //     never a mix.
 //   - Provenance and accounting: answers out of a multi-query flush
-//     carry Coalesced (and "coalesced" on the HTTP wire);
-//     CoalescerStats counts flushes, coalesced groups and answers and
-//     keeps a hold-time histogram, surfaced per venue and method on
-//     /statsz and /metricsz.
+//     carry Coalesced (and "coalesced" on the HTTP wire), a probe hit
+//     never does; CoalescerStats counts accepted queries, probe hits,
+//     flushes, coalesced groups and answers and keeps a hold-time
+//     histogram (probe_hits + Σ hold buckets == queries once traffic
+//     is quiet), surfaced per venue and method on /statsz and
+//     /metricsz.
 //
 // On the daemon, -coalesce (with -coalesce-hold) enables it in front
 // of every venue pool and implies -shared-batch;
@@ -396,11 +403,12 @@
 // dependency-free core of lock-free fixed-bucket duration histograms
 // (atomic counters; snapshots are mergeable and subtractable, so
 // deltas across scrapes are exact) and per-request span traces. A
-// request is split into stages — decode, hold (coalescer wait), probe
-// (cache lookup), plan (batch grouping), engine (the search itself),
-// build (a skeleton family build), store (cache fill) and render — and
-// each stage feeds a shared per-stage histogram, so "where does a
-// millisecond go" is answerable fleet-wide, not just per slow request.
+// request is split into stages — decode, hold (coalescer wait, misses
+// only), probe (cache lookup), plan (batch grouping), engine (the
+// search itself), build (a skeleton family build), store (cache fill)
+// and render — and each stage feeds a shared per-stage histogram, so
+// "where does a millisecond go" is answerable fleet-wide, not just per
+// slow request.
 // The buckets follow a 1–2.5–5 ladder from 10µs to 10s.
 //
 // /metricsz renders two histogram families in Prometheus text format

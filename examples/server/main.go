@@ -40,9 +40,9 @@ func main() {
 	if _, err := reg.AddPresets("hospital"); err != nil {
 		log.Fatal(err)
 	}
-	// Coalesce holds each solo route request for up to CoalesceHold and
-	// flushes concurrent arrivals as ONE shared batch (itspqd -coalesce
-	// -coalesce-hold 5ms).
+	// Coalesce answers cache hits at once and holds each solo route
+	// request that misses for up to CoalesceHold, flushing concurrent
+	// misses as ONE shared batch (itspqd -coalesce -coalesce-hold 5ms).
 	ts := httptest.NewServer(indoorpath.NewServer(reg, indoorpath.ServerOptions{
 		Coalesce:     true,
 		CoalesceHold: 5 * time.Millisecond,
@@ -128,9 +128,9 @@ func main() {
 	show("statsz", call(ts.URL, http.MethodGet, "/statsz", ""))
 
 	// Observability: "trace": true on a solo route returns the span
-	// breakdown inline — decode, hold (coalescer wait), probe (cache),
-	// engine, build (a skeleton family build), store — with per-stage
-	// durations in milliseconds.
+	// breakdown inline — decode, hold (coalescer wait, misses only),
+	// probe (cache), engine, build (a skeleton family build), store —
+	// with per-stage durations in milliseconds.
 	traced := `{"from":{"x":30,"y":10,"floor":0},"to":{"x":5,"y":34,"floor":0},"at":"11:45","trace":true}`
 	show("route with inline trace", call(ts.URL, http.MethodPost, "/v1/venues/hospital/route", traced))
 

@@ -1,10 +1,17 @@
 // Package coalesce implements the standing cross-batch request
-// coalescer of the serving layer: solo Route calls that arrive within
-// a few milliseconds of each other are accumulated into one batch and
-// flushed through service.Pool.RouteBatchSummary, so shareable
-// singletons (same source point, departure and speed — or, for the
-// static method, a shared destination) that arrive on separate HTTP
-// requests are answered by ONE engine run instead of one each.
+// coalescer of the serving layer: solo Route calls that miss every
+// answer tier and arrive within a few milliseconds of each other are
+// accumulated into one batch and flushed through
+// service.Pool.RouteBatchSummary, so shareable singletons (same source
+// point, departure and speed — or, for the static method, a shared
+// destination) that arrive on separate HTTP requests are answered by
+// ONE engine run instead of one each.
+//
+// Probe before hold: every call first probes the pool's answer tiers
+// (exact, window, skeleton) on the caller's goroutine. A hit is
+// answered there and then — it needs no computation, so it has nothing
+// to share and never enqueues, waits or arms a timer. Only misses are
+// held.
 //
 // The shared-execution batch planner (internal/batchplan, PR 4) only
 // helps queries that arrive in the same RouteBatch call; under
@@ -22,10 +29,14 @@
 //     engine primitives (RouteMany / RouteManyTo), so the PR 4
 //     soundness argument applies unchanged — answers are byte-identical
 //     whenever the shortest valid path is unique.
-//   - Added latency is bounded: a query waits at most Options.Hold
-//     (the flush timer is armed when the first query of a window
-//     enqueues) plus the flush's own execution time, and a window
-//     flushes immediately when Options.MaxGroup queries are held.
+//   - Added latency is bounded: a hit waits for nothing; a miss waits
+//     at most Options.Hold (the flush timer is armed when the first
+//     miss of a window enqueues) plus the flush's own execution time,
+//     and a window flushes immediately when Options.MaxGroup queries
+//     are held.
+//   - The flush probes again: a query that missed just before a
+//     concurrent flush stored its answer is served from the cache in
+//     the flush, never searched a second time.
 //   - Flushes are swap-atomic: one flush is one RouteBatchSummary
 //     call, which pins one pool backend for the whole batch, so a
 //     flush racing SetGraph/UpdateSchedules reflects entirely the old
@@ -80,8 +91,13 @@ type Options struct {
 // Stats are cumulative coalescer counters, safe to read concurrently
 // and JSON-serialisable for the daemon's stats endpoint.
 type Stats struct {
-	// Queries counts Route calls accepted.
+	// Queries counts Route calls accepted, probe hits included. Once
+	// traffic is quiet, ProbeHits + Σ HoldBuckets == Queries: every
+	// accepted call was either answered by the probe or held.
 	Queries int64 `json:"queries"`
+	// ProbeHits counts calls answered by the probe before the hold:
+	// cache hits that never enqueued.
+	ProbeHits int64 `json:"probe_hits"`
 	// Flushes counts groups executed (including singletons whose hold
 	// window expired without company).
 	Flushes int64 `json:"flushes"`
@@ -133,6 +149,7 @@ type Coalescer struct {
 	gen uint64
 
 	queries     atomic.Int64
+	probeHits   atomic.Int64
 	flushes     atomic.Int64
 	groups      atomic.Int64
 	answers     atomic.Int64
@@ -157,21 +174,50 @@ func New(pool *service.Pool, opts Options) *Coalescer {
 // Pool returns the pool flushes execute on.
 func (c *Coalescer) Pool() *service.Pool { return c.pool }
 
-// Route answers one query, blocking until its window flushes: at most
-// the hold window plus the flush's execution time. The result is
-// exactly what a solo Pool.Route would have returned, with Coalesced
-// set when the flush held more than one query.
+// Route answers one query: a cache hit at once, a miss once its
+// window flushes — at most the hold window plus the flush's execution
+// time. The result is exactly what a solo Pool.Route would have
+// returned, with Coalesced set when the flush held more than one
+// query.
 func (c *Coalescer) Route(q core.Query) service.Result {
 	return c.RouteTraced(nil, q)
 }
 
-// RouteTraced is Route recording observability spans onto tr: a hold
-// span from enqueue to flush start, then the flush's batch spans
-// (plan/probe/engine/store) adopted from the flush's shared
-// collector. Since one flush serves every waiter of a window, the
-// shared spans appear in each waiter's trace but feed the stage
-// histograms exactly once. Nil tr is the untraced fast path.
+// RouteTraced is Route recording observability spans onto tr. A hit
+// records the probe span only. A miss records a hold span from enqueue
+// to flush start, then the flush's batch spans (plan/probe/engine/
+// store) adopted from the flush's shared collector. Since one flush
+// serves every waiter of a window, the shared spans appear in each
+// waiter's trace but feed the stage histograms exactly once. Nil tr is
+// the untraced fast path.
 func (c *Coalescer) RouteTraced(tr *obs.Trace, q core.Query) service.Result {
+	if r, ok := c.Probe(tr, q); ok {
+		return r
+	}
+	return c.RouteHeld(tr, q)
+}
+
+// Probe answers q from the pool's answer tiers on the caller's
+// goroutine (service.Pool.Probe). A hit is one accepted query and one
+// probe hit; a miss counts nothing here, and the caller must hand q to
+// RouteHeld. Callers that need to run the miss elsewhere — the HTTP
+// handler probes inline and runs misses under its request deadline —
+// use Probe and RouteHeld; everyone else uses RouteTraced.
+func (c *Coalescer) Probe(tr *obs.Trace, q core.Query) (service.Result, bool) {
+	r, ok := c.pool.Probe(tr, q)
+	if ok {
+		// Queries before ProbeHits, the reverse of the Stats read
+		// order, so ProbeHits never exceeds Queries in a snapshot.
+		c.queries.Add(1)
+		c.probeHits.Add(1)
+	}
+	return r, ok
+}
+
+// RouteHeld holds a query that Probe has just missed until its window
+// flushes, then returns the flush's answer. It does not probe again
+// before the hold; the flush does.
+func (c *Coalescer) RouteHeld(tr *obs.Trace, q core.Query) service.Result {
 	c.queries.Add(1)
 	w := waiter{q: q, ch: make(chan service.Result, 1), enq: time.Now(), tr: tr}
 	c.mu.Lock()
@@ -286,25 +332,23 @@ func (c *Coalescer) observeHold(d time.Duration) {
 }
 
 // Stats returns a snapshot of the cumulative counters. The counters
-// are independent atomics, not one consistent snapshot; Groups is read
-// first and Answers/Flushes/Queries after it (mirroring the write
-// order in flush: queries at enqueue, then flushes, answers, groups)
-// so that every snapshot satisfies Groups <= Flushes, Answers >=
-// 2*Groups and Answers <= Queries even while flushes are in flight.
+// are independent atomics, not one consistent snapshot. Every call
+// books Queries before anything else (then ProbeHits, or at its flush
+// Flushes, Answers, Groups and its hold bucket), and Stats reads
+// Groups before Flushes and Queries last. So every snapshot satisfies
+// Groups <= Flushes, Answers >= 2*Groups, Answers <= Queries and
+// ProbeHits + Σ HoldBuckets <= Queries even while calls are in flight.
 func (c *Coalescer) Stats() Stats {
-	groups := c.groups.Load()
-	answers := c.answers.Load()
-	flushes := c.flushes.Load()
-	s := Stats{
-		Queries:      c.queries.Load(),
-		Flushes:      flushes,
-		Groups:       groups,
-		Answers:      answers,
-		HoldSumNanos: c.holdSum.Load(),
-		MaxHoldNanos: c.holdMax.Load(),
-	}
+	var s Stats
+	s.Groups = c.groups.Load()
+	s.Answers = c.answers.Load()
+	s.Flushes = c.flushes.Load()
 	for i := range c.holdBuckets {
 		s.HoldBuckets[i] = c.holdBuckets[i].Load()
 	}
+	s.HoldSumNanos = c.holdSum.Load()
+	s.MaxHoldNanos = c.holdMax.Load()
+	s.ProbeHits = c.probeHits.Load()
+	s.Queries = c.queries.Load()
 	return s
 }

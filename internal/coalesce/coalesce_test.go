@@ -245,17 +245,12 @@ func TestCoalescerObserveHoldBuckets(t *testing.T) {
 	}
 }
 
-// TestCoalescerRacingUpdateSchedules: a held queue racing live
-// schedule swaps must drain old-or-new atomically. Every wave is one
-// flush (MaxGroup = wave size), one flush is one RouteBatchSummary
-// call pinning one pool backend, so the whole wave's answers must
-// reflect schedule set A in full or set B in full — never a mix. Run
-// under -race. (SetGraph is the exact swap entry point
-// UpdateSchedules delegates to; using prebuilt graphs keeps the
-// expected answers precomputable.)
-func TestCoalescerRacingUpdateSchedules(t *testing.T) {
-	// Two-door venue: set A opens only the near door, set B only the
-	// far one, so every query's answer differs between the two sets.
+// swapRaceFixture is the two-door venue of the swap-race tests: set A
+// opens only the near door, set B only the far one, so every query's
+// answer differs between the two sets. It returns both graphs, eight
+// queries from one source and each query's answer on either graph.
+func swapRaceFixture(t *testing.T) (gA, gB *itgraph.Graph, qs []core.Query, wantA, wantB []*core.Path) {
+	t.Helper()
 	b := model.NewBuilder("coalesce-swap-race")
 	hall := b.AddPartition("hall", model.PublicPartition, geom.NewRect(0, 0, 20, 10, 0))
 	room := b.AddPartition("room", model.PublicPartition, geom.NewRect(0, 10, 20, 20, 0))
@@ -275,10 +270,9 @@ func TestCoalescerRacingUpdateSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gA, gB := itgraph.MustNew(vA), itgraph.MustNew(vB)
+	gA, gB = itgraph.MustNew(vA), itgraph.MustNew(vB)
 
 	src := geom.Pt(3, 5, 0)
-	var qs []core.Query
 	for k := 0; k < 8; k++ {
 		qs = append(qs, core.Query{Source: src, Target: geom.Pt(2+float64(k)*2, 15, 0), At: temporal.Clock(9, 0, 0)})
 	}
@@ -294,12 +288,30 @@ func TestCoalescerRacingUpdateSchedules(t *testing.T) {
 		}
 		return out
 	}
-	wantA, wantB := answersOn(gA), answersOn(gB)
+	return gA, gB, qs, answersOn(gA), answersOn(gB)
+}
 
+// TestCoalescerRacingUpdateSchedules: a held queue racing live
+// schedule swaps must drain old-or-new atomically. Every wave is one
+// flush (MaxGroup = wave size), one flush is one RouteBatchSummary
+// call pinning one pool backend, so the whole wave's answers must
+// reflect schedule set A in full or set B in full — never a mix. Run
+// under -race. (SetGraph is the exact swap entry point
+// UpdateSchedules delegates to; using prebuilt graphs keeps the
+// expected answers precomputable.)
+func TestCoalescerRacingUpdateSchedules(t *testing.T) {
+	gA, gB, qs, wantA, wantB := swapRaceFixture(t)
+
+	// No result cache: with probe-before-hold a cached wave member
+	// would be answered before the hold and strand the rest of its
+	// wave under the hour-long hold. This test is about held queues,
+	// so every member must miss and be held; probe hits racing swaps
+	// are TestCoalescerProbeHitsRacingSetGraph's.
 	pool := service.New(gA, service.Options{
-		Engine:      core.Options{Method: core.MethodAsyn},
-		Workers:     4,
-		SharedBatch: true,
+		Engine:        core.Options{Method: core.MethodAsyn},
+		Workers:       4,
+		SharedBatch:   true,
+		CacheCapacity: -1,
 	})
 	c := New(pool, Options{Hold: time.Hour, MaxGroup: len(qs)})
 
@@ -354,4 +366,95 @@ func TestCoalescerRacingUpdateSchedules(t *testing.T) {
 	if st := c.Stats(); st.Groups < 51 {
 		t.Fatalf("coalesced groups = %d, want one per wave", st.Groups)
 	}
+}
+
+// TestCoalescerProbeHitsRacingSetGraph: probe-before-hold answers
+// cache hits on the caller's goroutine, outside any flush. Each probe
+// pins one backend, so while swaps race the traffic every answer —
+// probe hit or flushed miss — must match schedule set A or set B in
+// full, and the coalescer's accounting must close: every accepted
+// call was a probe hit or a hold.
+func TestCoalescerProbeHitsRacingSetGraph(t *testing.T) {
+	gA, gB, qs, wantA, wantB := swapRaceFixture(t)
+	pool := service.New(gA, service.Options{
+		Engine:      core.Options{Method: core.MethodAsyn},
+		Workers:     4,
+		SharedBatch: true,
+	})
+	c := New(pool, Options{Hold: 100 * time.Microsecond, MaxGroup: len(qs)})
+
+	done := make(chan struct{})
+	var swapper sync.WaitGroup
+	swapper.Add(1)
+	go func() {
+		defer swapper.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				pool.SetGraph(gB)
+			} else {
+				pool.SetGraph(gA)
+			}
+			// Let the caches refill between swaps, so probes hit.
+			time.Sleep(time.Millisecond)
+		}
+	}()
+
+	const callers, perCaller = 4, 120
+	var wg sync.WaitGroup
+	for w := 0; w < callers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < perCaller; n++ {
+				i := (w + n) % len(qs)
+				r := c.Route(qs[i])
+				if r.Err != nil {
+					t.Errorf("caller %d query %d: %v", w, i, r.Err)
+					return
+				}
+				if !reflect.DeepEqual(r.Path, wantA[i]) && !reflect.DeepEqual(r.Path, wantB[i]) {
+					t.Errorf("caller %d query %d (hit=%q coalesced=%v): answer matches neither schedule set",
+						w, i, r.Hit, r.Coalesced)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	swapper.Wait()
+
+	// Quiesced on set A: the second identical call is a probe hit —
+	// answered from the exact cache, never held, never coalesced.
+	pool.SetGraph(gA)
+	c.Route(qs[0])
+	before := c.Stats()
+	r := c.Route(qs[0])
+	if r.Hit != service.HitExact || r.Coalesced || !reflect.DeepEqual(r.Path, wantA[0]) {
+		t.Fatalf("quiesced repeat: hit=%q coalesced=%v, want an exact probe hit on set A", r.Hit, r.Coalesced)
+	}
+	st := c.Stats()
+	if st.ProbeHits != before.ProbeHits+1 || st.Queries != before.Queries+1 || st.Flushes != before.Flushes {
+		t.Fatalf("probe hit booked as %+v after %+v, want one query and one probe hit, no flush", st, before)
+	}
+	var held int64
+	for _, n := range st.HoldBuckets {
+		held += n
+	}
+	if want := int64(callers*perCaller + 2); st.Queries != want || st.ProbeHits+held != st.Queries {
+		t.Fatalf("queries = %d (want %d), probe hits %d + held %d do not partition them", st.Queries, want, st.ProbeHits, held)
+	}
+	ps := pool.Stats()
+	if ps.Queries != st.Queries {
+		t.Fatalf("pool queries = %d, coalescer queries = %d", ps.Queries, st.Queries)
+	}
+	if ps.CacheHits+ps.WindowHits+ps.SkeletonHits+ps.CacheMisses()+ps.Deduped != ps.Queries {
+		t.Fatalf("pool stats do not partition: %+v", ps)
+	}
+	t.Logf("%d probe hits, %d held of %d calls", st.ProbeHits, held, st.Queries)
 }

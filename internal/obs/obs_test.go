@@ -315,6 +315,65 @@ func TestRingSampling(t *testing.T) {
 	}
 }
 
+// TestRingBuildsOnlyKeptDocs pins lazy doc building: the ring decides
+// admission from the duration and the 1-in-N counter alone, and builds
+// a doc only for a trace it keeps. Fed the same durations, the lazy
+// path keeps exactly the docs, flags and order that offering ready-made
+// docs keeps, and builds one doc per admission.
+func TestRingBuildsOnlyKeptDocs(t *testing.T) {
+	const cap, slowK, sampleN = 6, 2, 3
+	eager := NewTraceRing(cap, slowK, sampleN)
+	lazy := NewTraceRing(cap, slowK, sampleN)
+	builds, admitted := 0, 0
+	for i := 0; i < 300; i++ {
+		ms := float64((i * 37) % 101)
+		d := mkDoc(ms)
+		eager.Offer(d)
+		if d.Slow || d.Sampled {
+			admitted++
+		}
+		lazy.offer(ms, func() *TraceDoc {
+			builds++
+			return mkDoc(ms)
+		})
+		if builds != admitted {
+			t.Fatalf("offer %d (%.0f ms): %d docs built for %d admissions", i, ms, builds, admitted)
+		}
+	}
+	if builds >= 300 {
+		t.Fatalf("built %d docs for 300 offers: nothing was dropped before building", builds)
+	}
+	got, want := lazy.Snapshot(), eager.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("lazy ring keeps %d docs, eager %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].DurationMs != want[i].DurationMs || got[i].Slow != want[i].Slow || got[i].Sampled != want[i].Sampled {
+			t.Fatalf("doc %d: lazy %+v, eager %+v", i, got[i], want[i])
+		}
+	}
+	if lazy.offered != eager.offered {
+		t.Fatalf("offered count: lazy %d, eager %d", lazy.offered, eager.offered)
+	}
+
+	// End to end: once the slow population holds slower traces and
+	// nothing is sampled, finishing a fast request allocates nothing —
+	// its doc is never built.
+	o := NewObserver(ObserverOptions{RingCapacity: 1, SlowK: 1})
+	slow := o.NewTrace()
+	slow.start = slow.start.Add(-time.Hour)
+	info := RequestInfo{Venue: "v", Method: "asyn", Outcome: OutcomeOK}
+	o.FinishRequest(slow, info)
+	fast := o.NewTrace()
+	fast.Start(StageProbe).End()
+	if allocs := testing.AllocsPerRun(100, func() { o.FinishRequest(fast, info) }); allocs != 0 {
+		t.Fatalf("FinishRequest of a dropped trace allocates %.1f times per call, want 0", allocs)
+	}
+	if docs := o.Traces(); len(docs) != 1 || !docs[0].Slow {
+		t.Fatalf("ring = %+v, want only the slow trace", docs)
+	}
+}
+
 func durations(docs []*TraceDoc) []float64 {
 	out := make([]float64, len(docs))
 	for i, d := range docs {

@@ -49,12 +49,26 @@ func NewTraceRing(capacity, slowK, sampleN int) *TraceRing {
 // immutable afterwards. Docs that are neither slow nor sampled are
 // dropped.
 func (r *TraceRing) Offer(d *TraceDoc) {
-	if r == nil || d == nil {
+	if d == nil {
+		return
+	}
+	r.offer(d.DurationMs, func() *TraceDoc { return d })
+}
+
+// offer admits a trace of duration ms: into the slow population when
+// it beats the fastest of the slowest-K, else into the sample when it
+// is the 1-in-N non-slow offer. Only then does it call build for the
+// doc, so a trace the ring drops costs no doc at all. The decision
+// depends on the duration and the offer count alone, exactly as if the
+// doc had been built first.
+func (r *TraceRing) offer(ms float64, build func() *TraceDoc) {
+	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.slow) < r.slowK {
+		d := build()
 		d.Slow = true
 		r.slow = append(r.slow, d)
 		return
@@ -66,7 +80,8 @@ func (r *TraceRing) Offer(d *TraceDoc) {
 				mi = i
 			}
 		}
-		if d.DurationMs > r.slow[mi].DurationMs {
+		if ms > r.slow[mi].DurationMs {
+			d := build()
 			d.Slow = true
 			r.slow[mi] = d
 			return
@@ -79,6 +94,7 @@ func (r *TraceRing) Offer(d *TraceDoc) {
 	if r.offered%int64(r.sampleN) != 0 {
 		return
 	}
+	d := build()
 	d.Sampled = true
 	if len(r.sampled) < r.sampCap {
 		r.sampled = append(r.sampled, d)

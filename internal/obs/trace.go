@@ -17,7 +17,8 @@ const (
 	// validation.
 	StageDecode Stage = iota
 	// StageHold is the coalescer hold window: enqueue until the
-	// batch flush starts. Only coalesced requests record it.
+	// batch flush starts. Only requests the coalescer holds — cache
+	// misses; hits are answered before the hold — record it.
 	StageHold
 	// StageProbe covers the exact-cache and validity-window cache
 	// lookups.

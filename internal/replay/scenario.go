@@ -447,6 +447,10 @@ func Builtin(name string, quick bool) (*Scenario, error) {
 				// counted as engine runs: a build only pays off when its
 				// pair repeats, so the builds must stay amortised too.
 				{Phase: "rush", Metric: MetricEngineRunsPerQuery, Op: "<=", Value: 0.5},
+				// Most rush queries are skeleton hits, and hits are
+				// answered before the coalescer hold: the phase's
+				// median request must finish under the 2ms default hold.
+				{Phase: "rush", Metric: MetricP50Ms, Op: "<", Value: 2},
 				{Phase: "flash-crowd", Metric: MetricSearchesPerQuery, Op: "<", Value: 0.25},
 				{Phase: "flip-storm", Metric: MetricMixedAnswers, Op: "==", Value: 0},
 				// Generous static latency bound: the regression gate for

@@ -325,6 +325,9 @@ var coalesceMetrics = []struct {
 	{"indoorpath_coalesce_queries_total",
 		"Solo route requests accepted by the standing coalescer.",
 		func(s coalesce.Stats) int64 { return s.Queries }},
+	{"indoorpath_coalesce_probe_hits_total",
+		"Solo route requests answered by the cache probe before the hold (never enqueued).",
+		func(s coalesce.Stats) int64 { return s.ProbeHits }},
 	{"indoorpath_coalesce_flushes_total",
 		"Coalescer windows flushed (singleton windows included).",
 		func(s coalesce.Stats) int64 { return s.Flushes }},

@@ -537,6 +537,15 @@ func TestRaceStatszCoalesced(t *testing.T) {
 	if cs.Groups == 0 {
 		t.Fatal("6 goroutines hammering 2 hot keys through a 2ms hold window never coalesced")
 	}
+	// Quiescent: every accepted call was answered by the probe before
+	// the hold or held exactly once.
+	var held int64
+	for _, n := range cs.HoldBuckets {
+		held += n
+	}
+	if cs.ProbeHits+held != cs.Queries {
+		t.Fatalf("coalesce probe_hits %d + held %d != queries %d", cs.ProbeHits, held, cs.Queries)
+	}
 	if sr.Server.Timeouts != 0 {
 		t.Fatalf("coalesced traffic within the default deadline produced %d timeouts", sr.Server.Timeouts)
 	}

@@ -27,14 +27,16 @@
 // entries). Schedule updates are serialised per venue; the registry
 // row itself is never replaced by an update.
 //
-// With Options.Coalesce, solo route requests go through a standing
-// per-(venue, method) coalescer (internal/coalesce): concurrent
-// arrivals are held for up to Options.CoalesceHold and flushed as one
-// shared-execution batch, so shareable singletons on separate HTTP
-// requests cost one engine run together. Request aborts are
-// classified: a server-side deadline answers 504 and counts a
-// timeout, while a client disconnect is only counted (client_gone)
-// and logged — nothing is written into the dead connection.
+// Every pooled solo route is first probed against the answer tiers on
+// the handler goroutine; a hit is answered there. With
+// Options.Coalesce, misses go through a standing per-(venue, method)
+// coalescer (internal/coalesce): concurrent misses are held for up to
+// Options.CoalesceHold and flushed as one shared-execution batch, so
+// shareable singletons on separate HTTP requests cost one engine run
+// together. Request aborts are classified: a server-side deadline
+// answers 504 and counts a timeout, while a client disconnect is only
+// counted (client_gone) and logged — nothing is written into the dead
+// connection.
 package server
 
 import (
@@ -83,16 +85,17 @@ type Options struct {
 	VenueDirBase string
 	// Coalesce enables the standing cross-batch request coalescer
 	// (internal/coalesce) in front of every venue's method pools: solo
-	// route requests are held for up to CoalesceHold and flushed as one
-	// shared-execution batch, so shareable singletons arriving on
-	// separate requests share engine runs. The registry's pools should
-	// have service.Options.SharedBatch enabled (cmd/itspqd does this
-	// automatically when -coalesce is set). The waiting method has no
-	// pool and bypasses the coalescer.
+	// route requests that miss every answer tier are held for up to
+	// CoalesceHold and flushed as one shared-execution batch, so
+	// shareable singletons arriving on separate requests share engine
+	// runs. Cache hits are answered before the hold. The registry's
+	// pools should have service.Options.SharedBatch enabled
+	// (cmd/itspqd does this automatically when -coalesce is set). The
+	// waiting method has no pool and bypasses the coalescer.
 	Coalesce bool
 	// CoalesceHold is the coalescer's accumulation window; 0 means
-	// coalesce.DefaultHold. It bounds the latency a solo request can
-	// trade for sharing.
+	// coalesce.DefaultHold. It bounds the latency a solo miss can
+	// trade for sharing; hits never wait.
 	CoalesceHold time.Duration
 	// CoalesceMaxGroup caps one coalesced flush; 0 means
 	// coalesce.DefaultMaxGroup.
@@ -395,18 +398,26 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request, ve *Venue) 
 		return
 	}
 
-	resp, outcome := runWithTimeout(r.Context(), s.opts.RequestTimeout, func() RouteResponse {
-		if waiting {
-			return routeWaiting(ve, q)
+	// Probe before hold: a pooled query the answer tiers can serve is
+	// answered right here, with no goroutine, context or timer. Only a
+	// miss runs under the request deadline (and, with coalescing on,
+	// waits for a flush).
+	resp, hit := s.probeRoute(r.Context(), ve, m, waiting, tr, q)
+	if !hit {
+		var outcome runOutcome
+		resp, outcome = runWithTimeout(r.Context(), s.opts.RequestTimeout, func() RouteResponse {
+			if waiting {
+				return routeWaiting(ve, q)
+			}
+			if c := s.coalescer(ve, m); c != nil {
+				return resultResponse(ve.Model(), c.RouteHeld(tr, q))
+			}
+			return routePooled(ve, m, tr, q)
+		})
+		if s.finishAborted(w, r, outcome, "route") {
+			s.finishAbortedTrace(tr, info, outcome)
+			return
 		}
-		if c := s.coalescer(ve, m); c != nil {
-			return routeCoalesced(ve, c, tr, q)
-		}
-		return routePooled(ve, m, tr, q)
-	})
-	if s.finishAborted(w, r, outcome, "route") {
-		s.finishAbortedTrace(tr, info, outcome)
-		return
 	}
 	info.Hit, info.Coalesced, info.SharedRun = resp.Hit, resp.Coalesced, resp.SharedRun
 	if resp.Error != nil {
@@ -653,6 +664,30 @@ func resultResponse(mv *model.Venue, res service.Result) RouteResponse {
 	return resp
 }
 
+// probeRoute answers a pooled-method query from the answer tiers on
+// the handler goroutine: through the venue's coalescer when coalescing
+// is on (so its query and probe-hit counters see every call), straight
+// through the pool otherwise. Reports false, having booked nothing, on
+// a miss, for the waiting method (which has no pool), and when the
+// client is already gone — that request is not probed at all, and
+// runWithTimeout counts it as client_gone.
+func (s *Server) probeRoute(ctx context.Context, ve *Venue, m core.Method, waiting bool, tr *obs.Trace, q core.Query) (RouteResponse, bool) {
+	if waiting || ctx.Err() != nil {
+		return RouteResponse{}, false
+	}
+	var res service.Result
+	var ok bool
+	if c := s.coalescer(ve, m); c != nil {
+		res, ok = c.Probe(tr, q)
+	} else {
+		res, ok = ve.Pool(m).Probe(tr, q)
+	}
+	if !ok {
+		return RouteResponse{}, false
+	}
+	return resultResponse(ve.Model(), res), true
+}
+
 // routePooled answers one query on the venue's method pool. Cache hits
 // carry the stats of the search that produced the cached outcome, so a
 // client sees exactly what Pool.Route reports.
@@ -806,14 +841,6 @@ func (s *Server) coalesceStats(ve *Venue) map[string]coalesce.Stats {
 		}
 	}
 	return out
-}
-
-// routeCoalesced answers one query through the venue's standing
-// coalescer: the call blocks for at most the hold window plus one
-// flush, and the result is exactly what Pool.Route would have
-// produced, with coalescing provenance on top.
-func routeCoalesced(ve *Venue, c *coalesce.Coalescer, tr *obs.Trace, q core.Query) RouteResponse {
-	return resultResponse(ve.Model(), c.RouteTraced(tr, q))
 }
 
 // decodeBody reads and strictly decodes a JSON request body.

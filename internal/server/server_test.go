@@ -219,6 +219,26 @@ func TestRouteNoRoute(t *testing.T) {
 	}
 }
 
+// TestPathDocWireShape pins the path document's sequences on the wire:
+// a walk inside one partition renders "doors":null (no door steps,
+// never an empty array), and a cross-partition path lists one door
+// step per hop and one partition more than doors.
+func TestPathDocWireShape(t *testing.T) {
+	ts, _ := newTestServer(t, Options{})
+	url := ts.URL + "/v1/venues/hospital/route"
+	_, raw := postJSON(t, url, RouteRequest{From: &erCentre, To: &PointDoc{X: 28, Y: 12, Floor: 0}, At: "11:00"})
+	if !bytes.Contains(raw, []byte(`"doors":null,"partitions":["emergency"]`)) {
+		t.Fatalf("same-partition path: %s", raw)
+	}
+	_, raw = postJSON(t, url, RouteRequest{From: &erCentre, To: &wardCentre, At: "11:00"})
+	var rr RouteResponse
+	decodeInto(t, raw, &rr)
+	if rr.Path == nil || len(rr.Path.Doors) == 0 || len(rr.Path.Doors) != rr.Path.Hops ||
+		len(rr.Path.Partitions) != len(rr.Path.Doors)+1 {
+		t.Fatalf("cross-partition path: %s", raw)
+	}
+}
+
 func TestRouteWaiting(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	resp, raw := postJSON(t, ts.URL+"/v1/venues/hospital/route", RouteRequest{

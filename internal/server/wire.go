@@ -189,12 +189,20 @@ func pathDoc(v *model.Venue, p *core.Path) *PathDoc {
 		Arrive:    p.ArrivalAtTgt.String(),
 		WaitSec:   float64(p.TotalWait),
 	}
+	// Sized up front, but left nil when empty: a door-less path
+	// renders "doors":null, as it always has.
+	if len(p.Doors) > 0 {
+		doc.Doors = make([]DoorStep, 0, len(p.Doors))
+	}
 	for i, d := range p.Doors {
 		doc.Doors = append(doc.Doors, DoorStep{
 			Door:      v.Door(d).Name,
 			ArriveSec: float64(p.Arrivals[i]),
 			Arrive:    p.Arrivals[i].String(),
 		})
+	}
+	if len(p.Partitions) > 0 {
+		doc.Partitions = make([]string, 0, len(p.Partitions))
 	}
 	for _, part := range p.Partitions {
 		doc.Partitions = append(doc.Partitions, v.Partition(part).Name)

@@ -649,6 +649,29 @@ func (p *Pool) RouteTraced(tr *obs.Trace, q core.Query) Result {
 	return p.route(tr, q)
 }
 
+// Probe answers q from the answer tiers alone — exact, then window,
+// then skeleton — on the caller's goroutine, without checking out an
+// engine. It pins one backend, so a hit reflects one schedule set in
+// full. A hit books one query and one hit, exactly as Route would have
+// booked it, and records a probe span on tr. A miss books nothing and
+// records nothing: the search path that answers it (Route, or a
+// coalescer flush) probes again and accounts for it there. This is the
+// coalescer's probe-before-hold step: only misses need to wait for a
+// batch.
+func (p *Pool) Probe(tr *obs.Trace, q core.Query) (Result, bool) {
+	b := p.backend.Load()
+	key, ekey, cacheable := keysFor(b, q)
+	sp := tr.Start(obs.StageProbe)
+	r, ok, _, _, _ := p.lookupCaches(b, q, key, ekey, cacheable)
+	if !ok {
+		return Result{}, false
+	}
+	p.queries.Add(1)
+	p.noteHit(key, r.Hit)
+	sp.End()
+	return r, true
+}
+
 // route is Route returning the full Result (cache-hit flag included).
 func (p *Pool) route(tr *obs.Trace, q core.Query) Result {
 	b := p.backend.Load()
@@ -664,6 +687,9 @@ func (p *Pool) routeKeyed(tr *obs.Trace, b *poolBackend, q core.Query, key cache
 	p.queries.Add(1)
 	sp := tr.Start(obs.StageProbe)
 	r, ok, epoch, wepoch, reason := p.lookupCaches(b, q, key, ekey, cacheable)
+	if ok {
+		p.noteHit(key, r.Hit)
+	}
 	if tr == nil || ok {
 		sp.End()
 	} else {
@@ -723,12 +749,13 @@ type planAttrs struct {
 }
 
 // lookupCaches serves q from the exact cache, then the validity-window
-// cache, then the pair's skeleton family, counting hits (pool counters
-// and the load ring — a hit's whole outcome is fed here in one
-// sample). On a miss it returns the store epochs captured before any
-// search, for the epoch-guarded inserts of storeOutcome, plus the
-// miss's provenance; the caller books the miss (noteMiss) once the
-// outcome — including a possible epoch race — is known.
+// cache, then the pair's skeleton family. It books nothing: the caller
+// books its query and then the hit (noteHit), or the miss (noteMiss)
+// once the outcome — including a possible epoch race — is known. On a
+// miss it returns the store epochs captured before any search, for the
+// epoch-guarded inserts of storeOutcome, plus the miss's provenance.
+// Route, the batch paths and Probe all share it, so the tier logic
+// lives here once.
 //
 // Probe order is cheapest-first: an exact hit is a map step, a window
 // hit a binary search plus an arrival rebase, a skeleton hit a
@@ -745,9 +772,6 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 	var epoch, wepoch uint64
 	if useCache {
 		if r, ok := b.cache.get(key, ekey); ok {
-			p.cacheHits.Add(1)
-			p.load.Feed(obs.LoadSample{Queries: 1, ExactHits: 1})
-			p.pairs.Feed(pairKeyOf(key), obs.PairSample{Queries: 1, ExactHits: 1})
 			r.CacheHit = true
 			r.Hit = HitExact
 			return r, true, 0, 0, obs.ReasonNone
@@ -765,9 +789,6 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 			// entries (evicting genuinely hot exact entries), and the
 			// window lookup repeats serve from is already O(log n).
 			r := materializeWindow(ent, q, ekey)
-			p.windowHits.Add(1)
-			p.load.Feed(obs.LoadSample{Queries: 1, WindowHits: 1})
-			p.pairs.Feed(pairKeyOf(key), obs.PairSample{Queries: 1, WindowHits: 1})
 			r.CacheHit = true
 			r.Hit = HitWindow
 			return r, true, 0, 0, obs.ReasonNone
@@ -784,9 +805,6 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 		case fe != nil:
 			if path, ok := core.ComposeSkeletonPath(b.g, q.Source, q.Target, ekey.at, ekey.speed, fe.Fam); ok {
 				r := Result{Path: path, Stats: fe.Stats, CacheHit: true, Hit: HitSkeleton}
-				p.skeletonHits.Add(1)
-				p.load.Feed(obs.LoadSample{Queries: 1, SkeletonHits: 1})
-				p.pairs.Feed(pairKeyOf(key), obs.PairSample{Queries: 1, SkeletonHits: 1})
 				return r, true, 0, 0, obs.ReasonNone
 			}
 			// A family covers the departure but refused these endpoints:
@@ -805,6 +823,29 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 		}
 	}
 	return Result{}, false, epoch, wepoch, reason
+}
+
+// noteHit books one cache hit of the given tier: the pool's hit
+// counter, then one load-ring sample and one hot-pair sample each
+// carrying the query's whole outcome. The caller has already booked
+// the query itself (Stats reads hits before queries, so the partition
+// never goes transiently negative). Allocation-free.
+func (p *Pool) noteHit(key cacheKey, hit Hit) {
+	ls := obs.LoadSample{Queries: 1}
+	ps := obs.PairSample{Queries: 1}
+	switch hit {
+	case HitExact:
+		p.cacheHits.Add(1)
+		ls.ExactHits, ps.ExactHits = 1, 1
+	case HitWindow:
+		p.windowHits.Add(1)
+		ls.WindowHits, ps.WindowHits = 1, 1
+	case HitSkeleton:
+		p.skeletonHits.Add(1)
+		ls.SkeletonHits, ps.SkeletonHits = 1, 1
+	}
+	p.load.Feed(ls)
+	p.pairs.Feed(pairKeyOf(key), ps)
 }
 
 // storeOutcome feeds one computed outcome into the exact and window
@@ -1255,6 +1296,7 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 		p.queries.Add(1)
 		r, ok, epoch, wepoch, reason := p.lookupCaches(b, qs[i], keys[i], ekeys[i], true)
 		if ok {
+			p.noteHit(keys[i], r.Hit)
 			out[i] = r
 			continue
 		}
