@@ -215,12 +215,8 @@ type (
 	ServicePool = service.Pool
 	// PoolOptions tune a ServicePool; the zero value is a usable default
 	// (ITG/S engines, GOMAXPROCS workers, 4096-entry cache). Set
-	// WindowCache to additionally enable the validity-window temporal
-	// result cache (internal/tcache): answers are stored with the
-	// departure interval over which they provably stay the engine's
-	// answer, so nearby departure times of the same OD pair are served
-	// without a search. Set SkeletonCache to enable the point-free
-	// door-to-door skeleton store (core.SkeletonFamily): a repeated miss
+	// SkeletonCache to enable the point-free door-to-door skeleton
+	// store (internal/tcache, core.SkeletonFamily): a repeated miss
 	// per (source partition, target partition, checkpoint slot) stores
 	// the pair's door-sequence skeletons, and ANY later query between the
 	// same partitions — different points, different departure inside
@@ -243,18 +239,18 @@ type (
 	// and the shared-execution tallies.
 	BatchSummary = service.BatchSummary
 	// CacheHitKind is a result's cache provenance: HitMiss (engine
-	// search), HitExact (exact-identity cache) or HitWindow
-	// (validity-window cache, arrivals recomputed for the query's own
-	// departure).
+	// search), HitExact (exact-identity cache) or HitSkeleton (composed
+	// from the pair's stored skeleton family for the query's own
+	// endpoints and departure).
 	CacheHitKind = service.Hit
 )
 
 // Cache provenance values reported in BatchResult.Hit (and as "hit" on
 // the HTTP wire).
 const (
-	HitMiss   = service.HitMiss
-	HitExact  = service.HitExact
-	HitWindow = service.HitWindow
+	HitMiss     = service.HitMiss
+	HitExact    = service.HitExact
+	HitSkeleton = service.HitSkeleton
 )
 
 // NewPool builds a concurrent query-serving pool over a graph. Pool

@@ -525,15 +525,18 @@ func BenchmarkPoolRouteBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolRouteSweep measures the validity-window cache on its
-// motivating workload: a fine departure-time sweep of fixed OD pairs
-// (the time-sweep / rush-hour shape where thousands of queries differ
-// only in departure). The exact cache gets zero reuse here — every
-// departure is a distinct key — while the window cache serves every
-// same-slot repeat from one search. Compare the windowHits/op and
-// searches/op metrics across the two sub-benchmarks: window must show
-// hits > 0 and strictly fewer engine searches (the invariant is also
-// test-enforced in internal/service TestWindowPoolSweepBeatsExact).
+// BenchmarkPoolRouteSweep measures the skeleton-family store on the
+// time-sweep workload: a fine departure-time sweep of fixed OD pairs
+// (the rush-hour shape where thousands of queries differ only in
+// departure). The exact cache gets zero reuse here — every departure
+// is a distinct key — while the family store answers every departure
+// of a pair's checkpoint slot from one family. Compare skeletonHits/op
+// and engineRuns/op (searches plus family builds) across the two
+// sub-benchmarks. The skeleton case self-checks that it serves
+// skeleton hits, that it runs at most a quarter of the batch in engine
+// runs, and that each pass builds every stored family exactly once
+// (FamilyBuilds == b.N × SkelFamilies: concurrent repeat misses of one
+// family key must not build it twice).
 func BenchmarkPoolRouteSweep(b *testing.B) {
 	tb := newTestbed(b, 5, 8, 1500, indoorpath.Clock(12, 0, 0))
 	tb.graph.Snapshots().BuildAll()
@@ -546,14 +549,14 @@ func BenchmarkPoolRouteSweep(b *testing.B) {
 		}
 	}
 	for _, mode := range []struct {
-		name   string
-		window bool
-	}{{"exact", false}, {"window", true}} {
+		name     string
+		skeleton bool
+	}{{"exact", false}, {"skeleton", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			pool := indoorpath.NewPool(tb.graph, indoorpath.PoolOptions{
-				Engine:      indoorpath.Options{Method: indoorpath.MethodAsyn},
-				Workers:     4,
-				WindowCache: mode.window,
+				Engine:        indoorpath.Options{Method: indoorpath.MethodAsyn},
+				Workers:       4,
+				SkeletonCache: mode.skeleton,
 			})
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -567,13 +570,26 @@ func BenchmarkPoolRouteSweep(b *testing.B) {
 			}
 			b.StopTimer()
 			st := pool.Stats()
-			b.ReportMetric(float64(st.WindowHits)/float64(b.N), "windowHits/op")
-			b.ReportMetric(float64(st.CacheMisses())/float64(b.N), "searches/op")
+			runs := float64(st.EngineSearches+st.FamilyBuilds) / float64(b.N)
+			b.ReportMetric(float64(st.SkeletonHits)/float64(b.N), "skeletonHits/op")
+			b.ReportMetric(runs, "engineRuns/op")
+			b.ReportMetric(float64(st.FamilyBuilds)/float64(b.N), "builds/op")
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(b.N*len(batch))/secs, "queries/s")
 			}
-			if mode.window && st.WindowHits == 0 {
-				b.Fatalf("window sweep served no window hits: %v", st)
+			if !mode.skeleton {
+				return
+			}
+			if st.SkeletonHits == 0 {
+				b.Fatalf("skeleton sweep served no skeleton hits: %v", st)
+			}
+			if limit := float64(len(batch)) / 4; runs > limit {
+				b.Fatalf("skeleton sweep ran %.1f engine runs per pass, want <= %.0f (a quarter of the %d-query batch)",
+					runs, limit, len(batch))
+			}
+			if st.FamilyBuilds != int64(b.N)*st.SkelFamilies {
+				b.Fatalf("FamilyBuilds = %d over %d passes with %d families stored, want one build per family per pass",
+					st.FamilyBuilds, b.N, st.SkelFamilies)
 			}
 		})
 	}
@@ -653,8 +669,8 @@ func BenchmarkPoolRouteBatchShared(b *testing.B) {
 // BenchmarkPoolRouteNeighborhood measures the skeleton-family store on
 // its motivating workload: a crowd of queries between one hot
 // partition pair where every endpoint is independently jittered — no
-// two queries share an exact point, so the exact and window caches get
-// zero reuse and only door-to-door skeleton composition can absorb the
+// two queries share an exact point, so the exact cache gets zero
+// reuse and only door-to-door skeleton composition can absorb the
 // load. Compare skeletonHits/op and searches/op across the two
 // sub-benchmarks; skeleton mode self-checks hits > 0 and at most half
 // an engine search per query, so a regression fails the bench run

@@ -16,12 +16,8 @@
 // .NewPool) with N batch workers instead of a bare engine; -sweep STEP
 // additionally fans the query out over the whole day at the given step
 // as one concurrent batch, printing one summary row per departure time
-// plus a cache summary line (queries, exact hits, window hits, engine
-// searches). -window enables the validity-window result cache on the
-// pool, so sweep departures inside an already-computed answer's
-// validity window are served without a search:
-//
-//	itspq -venue mall.json -from 100,50,0 -to 900,700,2 -workers 1 -sweep 15m -window
+// plus a cache summary line (queries, exact hits, skeleton hits,
+// engine searches).
 //
 // -shared enables the shared-execution batch planner on the pool: the
 // sweep batch is partitioned into shared-endpoint groups and each group
@@ -76,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		method    = fs.String("method", "asyn", "syn | asyn | static | waiting")
 		workers   = fs.Int("workers", 0, "route through the concurrent pool with this many batch workers (0 = bare engine)")
 		sweepStr  = fs.String("sweep", "", "with -workers or -server: batch-answer the query across the day at this step (e.g. 2h, 30m)")
-		window    = fs.Bool("window", false, "with -workers: enable the validity-window result cache (cross-time cache hits)")
 		shared    = fs.Bool("shared", false, "with -workers: enable the shared-execution batch planner (one engine run per shared-endpoint group)")
 		serverURL = fs.String("server", "", "itspqd base URL; query the daemon instead of loading the venue locally")
 		verbose   = fs.Bool("v", false, "print search statistics")
@@ -116,9 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *serverURL != "" {
-		if *window {
-			return fail("-window applies to local -workers mode (enable it on the daemon with itspqd -window-cache)")
-		}
 		if *shared {
 			return fail("-shared applies to local -workers mode (enable it on the daemon with itspqd -shared-batch)")
 		}
@@ -158,9 +150,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *sweepStr != "" {
 			return fail("-sweep applies to syn/asyn/static, not waiting")
 		}
-		if *window {
-			return fail("-window applies to syn/asyn/static, not waiting")
-		}
 		if *shared {
 			return fail("-shared applies to syn/asyn/static, not waiting")
 		}
@@ -173,7 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			pool := indoorpath.NewPool(g, indoorpath.PoolOptions{
 				Engine:      indoorpath.Options{Method: m},
 				Workers:     *workers,
-				WindowCache: *window,
 				SharedBatch: *shared,
 			})
 			if *sweepStr != "" {
@@ -183,9 +171,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		} else {
 			if *sweepStr != "" {
 				return fail("-sweep requires -workers (or -server)")
-			}
-			if *window {
-				return fail("-window requires -workers (or itspqd -window-cache for -server)")
 			}
 			if *shared {
 				return fail("-shared requires -workers (or itspqd -shared-batch for -server)")
@@ -261,8 +246,8 @@ func printPath(w io.Writer, p pathLines) {
 // sweep answers every (target, departure) pair of the day sweep as one
 // concurrent batch through the pool, printing a summary row per
 // departure time (per target, with a target header when several) and a
-// cache summary line (how many answers came from the exact cache, the
-// validity-window cache, or an engine search — plus the shared-
+// cache summary line (how many answers came from the exact cache, a
+// skeleton composition, or an engine search — plus the shared-
 // execution tallies when the planner shared anything).
 func sweep(pool *indoorpath.ServicePool, q indoorpath.Query, targets []indoorpath.Point,
 	stepStr string, verbose bool, stdout, stderr io.Writer) int {
@@ -286,7 +271,7 @@ func sweep(pool *indoorpath.ServicePool, q indoorpath.Query, targets []indoorpat
 			printSweepRow(stdout, batch[i].At, r.Path.Length, r.Path.Hops(), r.Path.ArrivalAtTgt)
 		}
 	}
-	printSweepCache(stdout, int64(sum.Queries), int64(sum.ExactHits), int64(sum.WindowHits),
+	printSweepCache(stdout, int64(sum.Queries), int64(sum.ExactHits), int64(sum.SkeletonHits),
 		int64(sum.Searches), int64(sum.SharedRuns), int64(sum.SharedAnswers))
 	if verbose {
 		fmt.Fprintf(stdout, "pool:    %s\n", pool.Stats())
@@ -297,8 +282,8 @@ func sweep(pool *indoorpath.ServicePool, q indoorpath.Query, targets []indoorpat
 // printSweepCache renders the sweep cache summary, shared by local and
 // server modes so the two are byte-identical. searches counts engine
 // runs; the shared tallies print only when the planner shared work.
-func printSweepCache(w io.Writer, queries, exact, window, searches, sharedRuns, sharedAnswers int64) {
-	fmt.Fprintf(w, "cache:   queries=%d exact=%d window=%d searches=%d", queries, exact, window, searches)
+func printSweepCache(w io.Writer, queries, exact, skeleton, searches, sharedRuns, sharedAnswers int64) {
+	fmt.Fprintf(w, "cache:   queries=%d exact=%d skeleton=%d searches=%d", queries, exact, skeleton, searches)
 	if sharedRuns > 0 {
 		fmt.Fprintf(w, " sharedRuns=%d sharedAnswers=%d", sharedRuns, sharedAnswers)
 	}
@@ -491,7 +476,7 @@ func (c *client) sweep(src indoorpath.Point, targets []indoorpath.Point, method,
 		}
 	}
 	printSweepCache(stdout, int64(resp.Cache.Queries), int64(resp.Cache.ExactHits),
-		int64(resp.Cache.WindowHits), int64(resp.Cache.Searches),
+		int64(resp.Cache.SkeletonHits), int64(resp.Cache.Searches),
 		int64(resp.Cache.SharedRuns), int64(resp.Cache.SharedAnswers))
 	if verbose {
 		var stats server.StatsResponse

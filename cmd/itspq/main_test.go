@@ -150,7 +150,7 @@ func TestRunSweep(t *testing.T) {
 			t.Fatalf("sweep missing %q:\n%s", want, out)
 		}
 	}
-	if lines[4] != "cache:   queries=4 exact=0 window=0 searches=4" {
+	if lines[4] != "cache:   queries=4 exact=0 skeleton=0 searches=4" {
 		t.Fatalf("cache line = %q", lines[4])
 	}
 	if !strings.HasPrefix(lines[5], "pool:    queries=4") {
@@ -158,22 +158,28 @@ func TestRunSweep(t *testing.T) {
 	}
 }
 
-// TestRunSweepWindow: with -window and one worker the sweep is served
-// in departure order, so every same-slot repeat after the first found
-// answer is a window hit — demonstrated end to end by the summary line.
+// TestRunSweepWindow: against a daemon with the skeleton store on, a
+// sweep's departures inside the gate's [8:00, 16:00) slot window are
+// composed from the pair's family once a repeat miss has built it — shown
+// end to end by the summary line — and every row matches a local
+// exact-cache sweep.
 func TestRunSweepWindow(t *testing.T) {
-	venue := demoVenueFile(t)
-	code, out, _ := runCLI(t, "-venue", venue, "-from", "2,5,0", "-to", "25,5,0",
-		"-workers", "1", "-sweep", "2h", "-window")
+	reg := indoorpath.NewVenueRegistry(indoorpath.PoolOptions{Workers: 1, SkeletonCache: true})
+	if err := reg.Add("demo", demoVenue(t)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(indoorpath.NewServer(reg, indoorpath.ServerOptions{}))
+	t.Cleanup(ts.Close)
+	code, out, _ := runCLI(t, "-server", ts.URL, "-venue", "demo", "-from", "2,5,0", "-to", "25,5,0", "-sweep", "2h")
 	if code != 0 {
 		t.Fatalf("exit = %d\n%s", code, out)
 	}
-	// Departures 8:00..14:00 cross the gate ([8:00,16:00)): 8:00 is the
-	// one search, 10:00/12:00/14:00 ride its validity window.
-	if !strings.Contains(out, "cache:   queries=12 exact=0 window=3 searches=9") {
-		t.Fatalf("window sweep summary missing:\n%s", out)
+	// 8:00 records the pair's miss, 10:00 repeats it and builds the
+	// family, 12:00 and 14:00 compose from it.
+	if !strings.Contains(out, "cache:   queries=12 exact=0 skeleton=2 searches=10") {
+		t.Fatalf("skeleton sweep summary missing:\n%s", out)
 	}
-	// The found rows are byte-identical to a windowless sweep.
+	venue := demoVenueFile(t)
 	codeB, outB, _ := runCLI(t, "-venue", venue, "-from", "2,5,0", "-to", "25,5,0",
 		"-workers", "1", "-sweep", "2h")
 	if codeB != 0 {
@@ -189,9 +195,9 @@ func TestRunSweepWindow(t *testing.T) {
 		return strings.Join(kept, "\n")
 	}
 	if rows(out) != rows(outB) {
-		t.Fatalf("window sweep rows differ from exact sweep:\n--- window\n%s--- exact\n%s", out, outB)
+		t.Fatalf("skeleton sweep rows differ from exact sweep:\n--- skeleton\n%s--- exact\n%s", out, outB)
 	}
-	if !strings.Contains(outB, "cache:   queries=12 exact=0 window=0 searches=12") {
+	if !strings.Contains(outB, "cache:   queries=12 exact=0 skeleton=0 searches=12") {
 		t.Fatalf("exact sweep summary missing:\n%s", outB)
 	}
 }
@@ -221,10 +227,6 @@ func TestRunErrorPaths(t *testing.T) {
 		{name: "bad sweep step", args: []string{"-venue", venue, "-from", "2,5,0", "-to", "25,5,0", "-workers", "2", "-sweep", "zero"},
 			wantCode: 1, wantErr: "bad step"},
 		{name: "workers with waiting", args: []string{"-venue", venue, "-from", "2,5,0", "-to", "25,5,0", "-method", "waiting", "-workers", "2"},
-			wantCode: 1, wantErr: "not waiting"},
-		{name: "window without workers", args: []string{"-venue", venue, "-from", "2,5,0", "-to", "25,5,0", "-window"},
-			wantCode: 1, wantErr: "-window requires -workers"},
-		{name: "window with waiting", args: []string{"-venue", venue, "-from", "2,5,0", "-to", "25,5,0", "-method", "waiting", "-window"},
 			wantCode: 1, wantErr: "not waiting"},
 	}
 	for _, tc := range cases {
@@ -325,13 +327,6 @@ func TestRunServerModeErrors(t *testing.T) {
 	if code != 1 || errb == "" {
 		t.Fatalf("exit = %d, stderr:\n%s", code, errb)
 	}
-	// -window is a local pool knob; with -server it points at the
-	// daemon's flag instead.
-	code, _, errb = runCLI(t, "-server", ts.URL, "-venue", "demo",
-		"-from", "2,5,0", "-to", "25,5,0", "-window")
-	if code != 1 || !strings.Contains(errb, "itspqd -window-cache") {
-		t.Fatalf("exit = %d, stderr:\n%s", code, errb)
-	}
 }
 
 // TestRunSweepShared: with -shared and the static method the whole day
@@ -344,7 +339,7 @@ func TestRunSweepShared(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d\n%s", code, out)
 	}
-	if !strings.Contains(out, "cache:   queries=4 exact=0 window=0 searches=1 sharedRuns=1 sharedAnswers=4") {
+	if !strings.Contains(out, "cache:   queries=4 exact=0 skeleton=0 searches=1 sharedRuns=1 sharedAnswers=4") {
 		t.Fatalf("shared static sweep summary missing:\n%s", out)
 	}
 	// Rows are byte-identical to the unshared sweep.
@@ -378,7 +373,7 @@ func TestRunSweepMultiTarget(t *testing.T) {
 		t.Fatalf("exit = %d\n%s", code, out)
 	}
 	for _, want := range []string{"target:  25,5,0", "target:  22,8,0",
-		"cache:   queries=8 exact=0 window=0 searches=4 sharedRuns=4 sharedAnswers=8"} {
+		"cache:   queries=8 exact=0 skeleton=0 searches=4 sharedRuns=4 sharedAnswers=8"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("multi-target sweep missing %q:\n%s", want, out)
 		}

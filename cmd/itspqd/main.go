@@ -83,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		presets = fs.String("preset", "", "comma-separated built-in venues: mall, hospital, office, figure1")
 		workers = fs.Int("workers", 0, "batch fan-out goroutines per venue pool (0 = GOMAXPROCS)")
 		cache   = fs.Int("cache", 0, "result-cache capacity per pool (0 = default, negative = disabled)")
-		window  = fs.Bool("window-cache", false, "enable the validity-window temporal result cache (cross-time cache hits)")
 		skel    = fs.Bool("skeleton-cache", false, "enable the door-to-door skeleton store (cross-point cache hits: compose answers for any points of a cached partition pair)")
 		shared  = fs.Bool("shared-batch", false, "enable the shared-execution batch planner (one engine run answers each same-endpoint batch group)")
 		coal    = fs.Bool("coalesce", false, "coalesce concurrent solo route requests that miss the caches into shared engine runs; hits are answered without waiting (implies -shared-batch)")
@@ -110,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Coalescing flushes through the batch planner; without SharedBatch
 	// on the pools a flush could only deduplicate, not share runs.
-	reg, err := newRegistry(*venues, *presets, *workers, *cache, *window, *skel, *shared || *coal)
+	reg, err := newRegistry(*venues, *presets, *workers, *cache, *skel, *shared || *coal)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -161,11 +160,10 @@ func debugMux() *http.ServeMux {
 }
 
 // newRegistry loads the requested venues into a fresh registry.
-func newRegistry(venuesDir, presets string, workers, cache int, window, skeleton, shared bool) (*indoorpath.VenueRegistry, error) {
+func newRegistry(venuesDir, presets string, workers, cache int, skeleton, shared bool) (*indoorpath.VenueRegistry, error) {
 	reg := indoorpath.NewVenueRegistry(indoorpath.PoolOptions{
 		Workers:       workers,
 		CacheCapacity: cache,
-		WindowCache:   window,
 		SkeletonCache: skeleton,
 		SharedBatch:   shared,
 	})

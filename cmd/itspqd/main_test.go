@@ -18,7 +18,7 @@ import (
 
 func TestNewRegistry(t *testing.T) {
 	// Presets load under their own IDs.
-	reg, err := newRegistry("", "hospital,office", 2, 0, false, false, true)
+	reg, err := newRegistry("", "hospital,office", 2, 0, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestNewRegistry(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reg, err = newRegistry(dir, "figure1", 0, 0, true, false, false)
+	reg, err = newRegistry(dir, "figure1", 0, 0, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,26 +50,27 @@ func TestNewRegistry(t *testing.T) {
 		t.Fatalf("IDs = %v", got)
 	}
 
-	// window=true reaches the pools: a shifted repeat of the same OD
-	// pair is served from the validity-window cache.
+	// skeleton=true reaches the pools: the pair's second miss builds its
+	// family, and a third query between new points composes from it.
 	wing, _ := reg.Get("wing")
 	pool := wing.Pool(indoorpath.MethodAsyn)
-	for _, at := range []indoorpath.TimeOfDay{indoorpath.Clock(12, 0, 0), indoorpath.Clock(13, 0, 0)} {
+	for k := 0; k < 3; k++ {
+		d := float64(k)
 		if _, _, err := pool.Route(indoorpath.Query{
-			Source: indoorpath.Pt(5, 5, 0), Target: indoorpath.Pt(15, 5, 0), At: at,
+			Source: indoorpath.Pt(5-d, 5, 0), Target: indoorpath.Pt(15+d, 5, 0), At: indoorpath.Clock(12+k, 0, 0),
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := pool.Stats(); st.WindowHits != 1 {
-		t.Fatalf("window cache not enabled through newRegistry: %v", st)
+	if st := pool.Stats(); st.FamilyBuilds != 1 || st.SkeletonHits != 1 {
+		t.Fatalf("skeleton cache not enabled through newRegistry: %v", st)
 	}
 
 	// Errors propagate.
-	if _, err := newRegistry("", "narnia", 0, 0, false, false, false); err == nil {
+	if _, err := newRegistry("", "narnia", 0, 0, false, false); err == nil {
 		t.Fatal("unknown preset should fail")
 	}
-	if _, err := newRegistry(t.TempDir(), "", 0, 0, false, false, false); err == nil {
+	if _, err := newRegistry(t.TempDir(), "", 0, 0, false, false); err == nil {
 		t.Fatal("empty venue dir should fail")
 	}
 }
@@ -102,7 +103,7 @@ func TestRunFlagErrors(t *testing.T) {
 // ephemeral port, exercises the API over real HTTP, then cancels the
 // context and expects a clean exit.
 func TestServeGracefulShutdown(t *testing.T) {
-	reg, err := newRegistry("", "hospital", 0, 0, false, false, false)
+	reg, err := newRegistry("", "hospital", 0, 0, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 // are answered out of one coalesced flush.
 func TestServeCoalesced(t *testing.T) {
 	// -coalesce implies -shared-batch on the pools (see run()).
-	reg, err := newRegistry("", "hospital", 0, 0, false, false, true)
+	reg, err := newRegistry("", "hospital", 0, 0, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Command itspqreplay replays a deterministic "day in the venue"
 // workload against a live ITSPQ daemon and writes a BENCH_replay.json
-// report with latency percentiles, engine-search rates, cache/window/
+// report with latency percentiles, engine-search rates, cache/
 // coalesce provenance and self-check verdicts.
 //
 // Usage:
@@ -11,8 +11,8 @@
 //
 // Without -addr the tool self-hosts: it builds the scenario's preset
 // venue in process behind an httptest server configured like
-// `itspqd -coalesce -shared-batch -window-cache -skeleton-cache` and
-// replays against that. With -addr it drives the daemon you started
+// `itspqd -coalesce -shared-batch -skeleton-cache` and replays against
+// that. With -addr it drives the daemon you started
 // (which must serve the scenario's preset under the same ID —
 // `itspqd -preset hospital` for the built-in scenarios).
 //
@@ -140,12 +140,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // selfHost boots an in-process daemon serving the scenario's preset,
-// configured like `itspqd -coalesce -shared-batch -window-cache
-// -skeleton-cache` — the full serving stack the scenarios are written
-// to exercise.
+// configured like `itspqd -coalesce -shared-batch -skeleton-cache` —
+// the full serving stack the scenarios are written to exercise.
 func selfHost(preset string) (*httptest.Server, error) {
 	reg := indoorpath.NewVenueRegistry(indoorpath.PoolOptions{
-		WindowCache:   true,
 		SkeletonCache: true,
 		SharedBatch:   true,
 	})

@@ -23,10 +23,9 @@
 //   - a concurrent query-serving layer (NewPool): warm engines in a
 //     sync.Pool over one shared graph, batch fan-out with
 //     identical-query deduplication, per-(source partition, target
-//     partition, checkpoint slot) exact result caching, an opt-in
-//     validity-window temporal result cache for cross-time cache hits,
-//     and an opt-in point-free door-to-door skeleton store that
-//     composes answers for previously-unseen endpoint points
+//     partition, checkpoint slot) exact result caching, and an opt-in
+//     point-free door-to-door skeleton store that composes answers
+//     for previously-unseen endpoint points and departures
 //     (internal/tcache);
 //   - a shared-execution batch planner (PoolOptions.SharedBatch,
 //     internal/batchplan): batches are partitioned into shared-endpoint
@@ -87,42 +86,17 @@
 // atomically swap the graph and flush the cache without draining the
 // server.
 //
-// # Validity-window caching
-//
-// The exact cache hits only on identical queries, so a time-sweep or
-// rush-hour workload — one OD pair asked at many nearby departures —
-// gets near-zero reuse. PoolOptions.WindowCache enables the temporal
-// result cache (internal/tcache): each found no-waiting answer is
-// stored with the departure interval over which a fresh search
-// provably returns the same doors, partitions and length
-// (AnswerWindow: the path's ValidityWindow intersected with the
-// constant-topology clamp that keeps the departure and the whole walk
-// inside one checkpoint slot), and any later departure inside a stored
-// window is served without a search:
-//
-//	pool := indoorpath.NewPool(g, indoorpath.PoolOptions{
-//		Engine:      indoorpath.Options{Method: indoorpath.MethodAsyn},
-//		WindowCache: true,
-//	})
-//
-// Invariants: windows cover no-waiting found paths only; a served
-// answer recomputes every arrival for the query's own departure from
-// the stored cumulative distances (bit-identical to engine
-// arithmetic — the original instants are never reused); a schedule
-// swap drops the whole store with the backend; InvalidateSlot drops
-// windows overlapping the slot's time range. Results carry provenance
-// (BatchResult.Hit: "exact" | "window" | "miss"), PoolStats counts
-// WindowHits, and BenchmarkPoolRouteSweep measures the effect (the
-// exact cache runs one search per sweep departure; the window cache
-// runs roughly one per checkpoint slot).
-//
 // # Point-free answers
 //
-// Both caches above key on exact endpoint POINTS, so a neighborhood
-// crowd — many walkers between the same two rooms, no two standing on
-// the same spot — scores zero reuse: every jittered endpoint is a
-// fresh key. PoolOptions.SkeletonCache (itspqd -skeleton-cache) adds
-// the point-free layer: from each found engine answer the pool strips
+// The exact cache hits only on identical queries, so a time-sweep from
+// one point (one OD pair asked at many nearby departures) or a
+// neighborhood crowd — many walkers between the same two rooms, no two
+// standing on the same spot — scores zero reuse: every departure and
+// every jittered endpoint is a fresh key. PoolOptions.SkeletonCache
+// (itspqd -skeleton-cache) adds the point-free layer, which covers
+// both: indoor shortest paths change only at topology checkpoints, so
+// one store clamped to a checkpoint slot and independent of the
+// endpoints answers every reuse. From each found engine answer the pool strips
 // the point-dependent first and last legs and stores the remaining
 // door-to-door SKELETON — the door chain with cumulative door-to-door
 // distances — keyed by (source partition, target partition, checkpoint
@@ -159,25 +133,28 @@
 // evidence. The family slot is the whole day for the time-blind static
 // method, so static misses count across checkpoint slots. A first,
 // unrepeated miss only records its key, in a small bounded set that a
-// schedule swap drops with the stores. The building miss stores no
-// point window: its family answers any endpoints of the pair in the
-// slot. Every build is counted: PoolStats.FamilyBuilds
+// schedule swap drops with the store. At most one build per key runs
+// at a time: repeat misses arriving while it runs neither build nor
+// wait. Every build is counted: PoolStats.FamilyBuilds
 // ("families_built" in /statsz, indoorpath_pool_family_builds_total on
 // /metricsz) and a "build" trace stage carved out of the miss's store
 // stage. Builds are not queries, so the /statsz partition below is
 // unchanged. BenchmarkPoolRouteFreshPairs self-checks in CI that
 // never-repeating pairs build nothing.
 //
-// Probe order is exact cache, then validity windows, then skeletons,
-// then the engine; provenance rides the wire as "hit":"skeleton",
-// PoolStats counts SkeletonHits (the /statsz partition invariant
-// becomes exact + window + skeleton + deduped + misses == queries),
-// /cachez reports skeleton-store occupancy and per-pair day coverage,
-// and a schedule swap drops the store with everything else — epochs
-// make a raced certification unstorable, exactly like the window
-// store. BenchmarkPoolRouteNeighborhood self-checks the effect in CI:
-// a 256-query jittered crowd between one hot partition pair is served
-// by ~1 engine search instead of 256.
+// Probe order is exact cache, then skeletons, then the engine;
+// provenance rides the wire as "hit":"skeleton", PoolStats counts
+// SkeletonHits (the /statsz partition invariant becomes exact +
+// skeleton + deduped + misses == queries), /cachez reports
+// skeleton-store occupancy and per-pair day coverage,
+// InvalidateSlot drops the families whose slot overlaps, and a
+// schedule swap drops the store with everything else — epochs make a
+// raced build unstorable, exactly like the exact cache.
+// BenchmarkPoolRouteNeighborhood self-checks the effect in CI: a
+// 256-query jittered crowd between one hot partition pair is served by
+// ~1 engine search instead of 256; BenchmarkPoolRouteSweep's skeleton
+// case shows a one-point day sweep served by a quarter of the engine
+// runs the exact cache needs.
 //
 // # Shared execution
 //
@@ -212,7 +189,7 @@
 // solo. Answers are byte-identical to a sequential per-query engine
 // whenever the shortest valid path is unique (under an exact
 // float-length tie a shared run may return the other, equally shortest
-// answer); shared answers feed the exact and window caches like any
+// answer); shared answers feed the exact cache and the family store like any
 // search result. Stats.SharedRuns / SharedAnswers count the sharing,
 // and BenchmarkPoolRouteBatchShared shows a 64-target fan-out served
 // by 1 engine search instead of 64.
@@ -223,7 +200,7 @@
 // RouteBatch call; under live traffic shareable singletons arrive
 // milliseconds apart on separate requests, each paying a full search.
 // NewCoalescer puts a standing accumulator in front of a pool. Every
-// solo Route call first probes the pool's answer tiers (exact, window,
+// solo Route call first probes the pool's answer tiers (exact,
 // skeleton) on the caller's goroutine, and a hit is answered there:
 // it needs no computation, so it has nothing to share and never waits.
 // Only misses enqueue into a small hold window (CoalescerOptions.Hold,
@@ -264,8 +241,8 @@
 // NewServer wraps a VenueRegistry — venue IDs mapped to per-venue,
 // per-method serving pools — into an http.Handler; cmd/itspqd is the
 // ready-made daemon (graceful shutdown, -venues dir and -preset
-// loading, -workers/-cache/-timeout tuning, -window-cache,
-// -skeleton-cache, -shared-batch and -coalesce for the optimisations
+// loading, -workers/-cache/-timeout tuning, -skeleton-cache,
+// -shared-batch and -coalesce for the optimisations
 // above):
 //
 //	itspqd -addr :8080 -preset hospital,office -venues ./venues
@@ -279,7 +256,7 @@
 //	GET  /tracez                        recent request traces (slowest-K + sampled);
 //	                                    filters ?venue= ?method= ?min_ms= ?outcome=
 //	GET  /loadz                         rolling windowed load signals (10s/1m/5m)
-//	GET  /cachez                        cache occupancy + hot OD pairs + window
+//	GET  /cachez                        cache occupancy + hot OD pairs + family
 //	                                    coverage + per-search engine effort
 //	GET  /v1/venues                     venue listing
 //	POST /v1/venues                     hot venue reload (preset / JSON dir)
@@ -298,14 +275,13 @@
 //
 // Batches send {"method":"asyn","queries":[...]} to /route:batch and
 // come back positionally aligned, with "shared", "shared_run" and
-// "cache_hit" flags and a "hit" provenance ("exact" | "window" |
-// "skeleton" | "miss") marking how each entry was served, plus a
-// batch-level "cache" summary (queries, exact_hits, window_hits,
-// skeleton_hits, searches — engine runs, so one shared run counts once
-// — and shared_runs / shared_answers when the planner shared work).
-// The daemon flags -window-cache, -skeleton-cache and -shared-batch
-// enable the validity-window cache, the point-free skeleton store and
-// the shared-execution planner on every pool. "No such routes" is
+// "cache_hit" flags and a "hit" provenance ("exact" | "skeleton" |
+// "miss") marking how each entry was served, plus a batch-level
+// "cache" summary (queries, exact_hits, skeleton_hits, searches —
+// engine runs, so one shared run counts once — and shared_runs /
+// shared_answers when the planner shared work). The daemon flags
+// -skeleton-cache and -shared-batch enable the point-free skeleton
+// store and the shared-execution planner on every pool. "No such routes" is
 // a regular answer: HTTP 200 with {"found":false}. Validation failures
 // return a structured envelope {"error":{"code":"bad_request",
 // "message":"..."}} (codes: bad_request, not_found, not_indoor,
@@ -370,7 +346,7 @@
 //
 // The report records, per phase: latency percentiles (p50/p95/p99/max,
 // nearest-rank over every request), error and timeout tallies, answer
-// provenance counted from response flags (exact/window hits,
+// provenance counted from response flags (exact/skeleton hits,
 // coalesced, shared-run, deduped), the /statsz counter movement
 // (queries, engine searches, cache hits, epoch, coalescer flushes) and
 // the headline searches_per_query = engine searches / queries. A
@@ -421,7 +397,7 @@
 // latency of failures is separable from the happy path. Every scrape
 // of /statsz or /metricsz is built from ONE consistent snapshot per
 // venue, and the counter partition invariant — cache_hits +
-// window_hits + skeleton_hits + deduped + misses == queries,
+// skeleton_hits + deduped + misses == queries,
 // engine_searches <= misses — holds in every scraped body, even
 // mid-traffic.
 //
@@ -449,21 +425,22 @@
 // allocation-free per operation; BenchmarkLoadRingFeed self-checks
 // this in CI). GET /loadz reads each ring ONCE per scrape and reports
 // trailing 10s / 1m / 5m windows per venue and method: arrival rate,
-// exact and window hit rates, shareability (deduped + shared answers
+// exact and skeleton hit rates, shareability (deduped + shared answers
 // per query), engine searches per query, coalescer hold utilization
 // (actual held time vs the configured hold — the headroom an adaptive
 // hold policy would steer by) and flush fan-out. The same derived
 // rates are exported as indoorpath_load_*{venue,method,window} gauges
 // on /metricsz. Within every windowed view the partition invariant
-// exact_hits + window_hits + deduped <= queries holds even while
+// exact_hits + skeleton_hits + deduped <= queries holds even while
 // buckets rotate under concurrent feeders: a query's whole outcome is
 // committed to one bucket, queries are written first and read last,
 // and a bucket observed mid-rotation is dropped whole.
 //
 // Decision provenance answers WHY, not just how often: every cache
 // miss carries a compact reason code — uncacheable, no_exact_entry,
-// window_family_absent, outside_windows (a window series exists but
-// the departure falls outside every cached interval), epoch_raced
+// window_family_absent (no skeleton family stored for the pair),
+// outside_windows (the pair has families, but none covers the
+// departure's slot), skeleton_uncertified, epoch_raced
 // (the answer was computed but a concurrent schedule update made it
 // unstorable) — and every plan member that ran a dedicated engine
 // search records why it could not share: private_partition,
@@ -479,20 +456,17 @@
 //
 // GET /cachez answers "what is the cache actually holding, and for
 // whom?" Per venue and method it reports, from ONE consistent snapshot
-// per scrape: exact-cache, window-store and skeleton-store occupancy
-// vs capacity with monotone capacity-eviction counters (they survive
+// per scrape: exact-cache and skeleton-store occupancy vs capacity
+// with monotone capacity-eviction counters (they survive
 // schedule-update swaps; occupancy/eviction scalars also ride
-// /metricsz as indoorpath_cache_* / indoorpath_window_* /
-// indoorpath_skeleton_* series); the skeleton store's per-pair
-// family/chain counts with whole-pair day coverage; the window store's
-// per-OD-pair coverage map — window and endpoint-family counts plus a
-// day-coverage fraction, the mean per-family share of the 24h
-// departure axis covered by stored validity windows (windows within a
-// family are disjoint, so the fraction lies in [0, 1]); and a hot-pair
+// /metricsz as indoorpath_cache_* / indoorpath_skeleton_* series); the
+// skeleton store's per-pair family/chain counts with whole-pair day
+// coverage (a pair's family windows are disjoint, so the fraction lies
+// in [0, 1]); and a hot-pair
 // table from a bounded space-saving heavy-hitter counter (obs.TopK —
 // always on, allocation-free per feed; BenchmarkTopKFeed self-checks
 // this in CI) tallying per (source partition, target partition) pair
-// the queries, exact/window hits, batch dedups, engine searches and
+// the queries, exact/skeleton hits, batch dedups, engine searches and
 // summed search effort, each tally exact up to the row's err_bound.
 // The top-K table is snapshotted before the pool counters in every
 // scrape, so pair tallies never exceed the body's query counter.

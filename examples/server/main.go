@@ -28,13 +28,11 @@ func main() {
 	// the same thing from -venues / -preset flags. SharedBatch turns on
 	// the shared-execution planner (itspqd -shared-batch): batch groups
 	// with a common endpoint are answered by one engine run each;
-	// WindowCache adds the validity-window temporal cache (itspqd
-	// -window-cache), whose coverage map /cachez renders below;
 	// SkeletonCache adds the point-free door-to-door skeleton store
-	// (itspqd -skeleton-cache) the jittered wave below runs against.
+	// (itspqd -skeleton-cache) the jittered wave below runs against
+	// and whose coverage map /cachez renders below.
 	reg := indoorpath.NewVenueRegistry(indoorpath.PoolOptions{
 		SharedBatch:   true,
-		WindowCache:   true,
 		SkeletonCache: true,
 	})
 	if _, err := reg.AddPresets("hospital"); err != nil {
@@ -99,8 +97,8 @@ func main() {
 	show("coalesced solo request", first)
 
 	// Point-free answers: a jittered wave — the same ER -> ward-1 crowd,
-	// but every walker stands on a DIFFERENT spot, so the exact and
-	// window caches (both keyed on endpoint points) never hit. The first
+	// but every walker stands on a DIFFERENT spot, so the exact cache
+	// (keyed on endpoint points) never hits. The first
 	// jittered route is the pair's second miss in the slot after the
 	// route above — the repeat evidence that builds the pair's
 	// door-to-door skeleton family; each later jittered query is
@@ -161,9 +159,9 @@ func main() {
 		call(ts.URL, http.MethodGet, "/metricsz", ""), "indoorpath_load_arrival_per_sec"))
 
 	// /cachez is the cache-introspection view: exact-cache and
-	// window-store occupancy vs capacity with eviction counters, the
-	// per-OD-pair window coverage map (day_coverage = share of the 24h
-	// departure axis covered by stored validity windows), and the
+	// skeleton-store occupancy vs capacity with eviction counters, the
+	// per-OD-pair family coverage map (day_coverage = share of the 24h
+	// departure axis the pair's stored families cover), and the
 	// space-saving top-K pair table — which partition pairs dominate
 	// the traffic and how well each is served. Strict filters narrow
 	// the body: ?venue= / ?method= (typos answer 400, not "everything").

@@ -8,7 +8,7 @@
 // ONE engine run instead of one each.
 //
 // Probe before hold: every call first probes the pool's answer tiers
-// (exact, window, skeleton) on the caller's goroutine. A hit is
+// (exact, skeleton) on the caller's goroutine. A hit is
 // answered there and then — it needs no computation, so it has nothing
 // to share and never enqueues, waits or arms a timer. Only misses are
 // held.

@@ -159,8 +159,8 @@ func TestCoalescerMatchesSoloAllMethods(t *testing.T) {
 			t.Fatalf("method %v: %d engine runs for %d coalesced queries — nothing shared", method, ps.EngineSearches, len(qs))
 		}
 		// The service partition invariant must hold with the coalescer
-		// in front: hits + windows + misses + deduped == queries.
-		if ps.CacheHits+ps.WindowHits+ps.CacheMisses()+ps.Deduped != ps.Queries {
+		// in front: hits + skeletons + misses + deduped == queries.
+		if ps.CacheHits+ps.SkeletonHits+ps.CacheMisses()+ps.Deduped != ps.Queries {
 			t.Fatalf("method %v: stats do not partition: %+v", method, ps)
 		}
 	}
@@ -453,7 +453,7 @@ func TestCoalescerProbeHitsRacingSetGraph(t *testing.T) {
 	if ps.Queries != st.Queries {
 		t.Fatalf("pool queries = %d, coalescer queries = %d", ps.Queries, st.Queries)
 	}
-	if ps.CacheHits+ps.WindowHits+ps.SkeletonHits+ps.CacheMisses()+ps.Deduped != ps.Queries {
+	if ps.CacheHits+ps.SkeletonHits+ps.CacheMisses()+ps.Deduped != ps.Queries {
 		t.Fatalf("pool stats do not partition: %+v", ps)
 	}
 	t.Logf("%d probe hits, %d held of %d calls", st.ProbeHits, held, st.Queries)

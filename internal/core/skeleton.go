@@ -215,7 +215,7 @@ func (e *Engine) appendEntryChains(fam *SkeletonFamily, a model.DoorID) {
 //   - the departure falls outside the family's slot window;
 //   - no chain reaches both endpoints with finite legs;
 //   - the composed walk would cross the slot's closing checkpoint
-//     (the AnswerWindow clamp: t + length/speed must stay inside the
+//     (the slot clamp: t + length/speed must stay inside the
 //     slot a temporal family was built for);
 //   - two chains tie exactly for the minimum length (the engine's
 //     winner would depend on settle order, which the table cannot

@@ -102,7 +102,7 @@ func TestSkeletonFamilyRefusals(t *testing.T) {
 		t.Fatal("departure outside the slot window must refuse")
 	}
 	// A departure so close to the slot end that the walk cannot finish
-	// inside it must refuse (the AnswerWindow clamp).
+	// inside it must refuse (the slot clamp).
 	if _, ok := e.ComposeSkeleton(src, tgt, fam.Window.Close-1e-6, 0, fam); ok {
 		t.Fatal("walk crossing the slot close must refuse")
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"indoorpath/internal/itgraph"
-	"indoorpath/internal/model"
 	"indoorpath/internal/temporal"
 )
 
@@ -23,10 +22,11 @@ func ValidityWindow(g *itgraph.Graph, p *Path, q Query) (temporal.Interval, erro
 	if p.TotalWait > 0 {
 		return temporal.Interval{}, fmt.Errorf("core: validity windows apply to no-waiting paths only")
 	}
-	// DM-based cumulative distances: the engine default. An engine with
-	// non-default leg arithmetic derives windows via Engine.AnswerWindow,
-	// which replays its own distances.
-	dists := make([]float64, len(p.Doors))
+	// DM-based cumulative distances: the engine default.
+	v := g.Venue()
+	speed := q.speed()
+	t0 := q.At.Mod()
+	lo, hi := temporal.TimeOfDay(0), temporal.DaySeconds
 	dist := 0.0
 	for i, d := range p.Doors {
 		if i == 0 {
@@ -34,21 +34,7 @@ func ValidityWindow(g *itgraph.Graph, p *Path, q Query) (temporal.Interval, erro
 		} else {
 			dist += g.DM().Dist(p.Partitions[i], p.Doors[i-1], d)
 		}
-		dists[i] = dist
-	}
-	return validityFromDists(g.Venue(), p, dists, q)
-}
-
-// validityFromDists is the per-door ATI constraint intersection of
-// ValidityWindow over precomputed cumulative door distances, so callers
-// can supply engine-faithful distances (Engine.AnswerWindow) or the
-// DM-based default (ValidityWindow).
-func validityFromDists(v *model.Venue, p *Path, dists []float64, q Query) (temporal.Interval, error) {
-	speed := q.speed()
-	t0 := q.At.Mod()
-	lo, hi := temporal.TimeOfDay(0), temporal.DaySeconds
-	for i, d := range p.Doors {
-		walk := temporal.TimeOfDay(dists[i] / speed)
+		walk := temporal.TimeOfDay(dist / speed)
 		arr := t0 + walk
 		// Find the ATI containing the original arrival.
 		var ati temporal.Interval
@@ -93,71 +79,6 @@ func validityFromDists(v *model.Venue, p *Path, dists []float64, q Query) (tempo
 	}
 	if lo >= hi {
 		return temporal.Interval{}, fmt.Errorf("core: empty validity window")
-	}
-	return temporal.Interval{Open: lo, Close: hi}, nil
-}
-
-// AnswerWindow computes the departure-time interval over which this
-// engine's *answer* to q — not merely the path's validity — is provably
-// unchanged: any departure t' in the window makes a fresh search return
-// the exact same door and partition sequence and length as p, with
-// every arrival shifted by t'-t. It is the interval a result cache may
-// serve without consulting an engine (internal/tcache). It is an
-// Engine method because the derivation must be engine-faithful: the
-// per-door walks replay this engine's own leg arithmetic
-// (PathDistances, honouring options such as NoDistanceMatrix), and the
-// static method short-circuits to the full day.
-//
-// ValidityWindow alone is not enough for caching: it proves p stays
-// *walkable* across the interval, but a door that was closed at the
-// original departure can open at a shifted one and create a shorter
-// path, so the cached answer would no longer be what the engine
-// returns. The answer is frozen exactly while no TV_Check outcome the
-// search could make changes, and since every check probes door
-// openness at t' + x for some walked distance x ∈ [0, p.Length], it
-// suffices that the whole swept band stays inside one constant-
-// topology checkpoint slot. AnswerWindow therefore intersects the
-// path's ValidityWindow with that clamp:
-//
-//	[ SlotStart(slot(t)), SlotEnd(slot(t)) - Length/speed )
-//
-// (departure stays in its slot AND the walk completes before the slot
-// ends). For MethodStatic the checker ignores time entirely, so the
-// window is the whole day. The returned window always contains q.At;
-// when the original walk itself crosses a checkpoint the window is
-// empty and an error is returned (such answers are not reusable).
-func (e *Engine) AnswerWindow(p *Path, q Query) (temporal.Interval, error) {
-	return e.AnswerWindowDists(p, q, e.PathDistances(p, q))
-}
-
-// AnswerWindowDists is AnswerWindow over precomputed cumulative door
-// distances (Engine.PathDistances), so callers that also keep the
-// distances — the window cache stores them for arrival rebasing —
-// derive both from one leg replay.
-func (e *Engine) AnswerWindowDists(p *Path, q Query, dists []float64) (temporal.Interval, error) {
-	if p.TotalWait > 0 {
-		return temporal.Interval{}, fmt.Errorf("core: answer windows apply to no-waiting paths only")
-	}
-	if e.opts.Method == MethodStatic {
-		return temporal.Interval{Open: 0, Close: temporal.DaySeconds}, nil
-	}
-	w, err := validityFromDists(e.v, p, dists, q)
-	if err != nil {
-		return temporal.Interval{}, err
-	}
-	t0 := q.At.Mod()
-	cps := e.g.Checkpoints()
-	slot := cps.SlotOf(t0)
-	walk := temporal.TimeOfDay(p.Length / q.speed())
-	lo, hi := cps.SlotStart(slot), cps.SlotEnd(slot)-walk
-	if w.Open > lo {
-		lo = w.Open
-	}
-	if w.Close < hi {
-		hi = w.Close
-	}
-	if lo >= hi || t0 < lo || t0 >= hi {
-		return temporal.Interval{}, fmt.Errorf("core: empty answer window (walk of %v crosses a checkpoint from %v)", walk, t0)
 	}
 	return temporal.Interval{Open: lo, Close: hi}, nil
 }

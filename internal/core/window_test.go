@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"indoorpath/internal/geom"
@@ -192,174 +191,6 @@ func TestValidityWindowMidnightWrap(t *testing.T) {
 	}
 	if _, err := ValidityWindow(g2, p2, q); err == nil {
 		t.Fatal("wrapped arrival in a bounded ATI must refuse a window")
-	}
-}
-
-func TestAnswerWindowClampsToSlot(t *testing.T) {
-	g, _, _ := corridorVenue(t)
-	q := Query{Source: geom.Pt(2, 5, 0), Target: geom.Pt(38, 5, 0), At: temporal.Clock(12, 0, 0)}
-	e := NewEngine(g, Options{})
-	p, _, err := e.Route(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := e.AnswerWindow(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !w.Contains(q.At) {
-		t.Fatalf("answer window %v must contain the departure", w)
-	}
-	// The clamp: departure stays inside its checkpoint slot and the
-	// whole walk (Length/speed) completes before the slot ends.
-	cps := g.Checkpoints()
-	slot := cps.SlotOf(q.At)
-	wantOpen := cps.SlotStart(slot)
-	wantClose := cps.SlotEnd(slot) - temporal.TimeOfDay(p.Length/WalkingSpeedMPS)
-	if w.Open != wantOpen || w.Close != wantClose {
-		t.Fatalf("window = %v, want [%v, %v)", w, wantOpen, wantClose)
-	}
-	// The answer window is a sub-interval of the validity window.
-	vw, err := ValidityWindow(g, p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Open < vw.Open || w.Close > vw.Close {
-		t.Fatalf("answer window %v escapes validity window %v", w, vw)
-	}
-}
-
-// TestAnswerWindowEmptyOnCheckpointCrossing: when the original walk
-// itself spans a checkpoint — even one belonging to a door far off the
-// path — the clamped window is empty and must be refused rather than
-// collapse to a zero-length interval.
-func TestAnswerWindowEmptyOnCheckpointCrossing(t *testing.T) {
-	b := model.NewBuilder("cross-window")
-	hall := b.AddPartition("hall", model.HallwayPartition, geom.NewRect(0, 0, 20, 10, 0))
-	room := b.AddPartition("room", model.PublicPartition, geom.NewRect(20, 0, 40, 10, 0))
-	side := b.AddPartition("side", model.PublicPartition, geom.NewRect(0, 10, 20, 20, 0))
-	d := b.AddDoor("d", model.PublicDoor, geom.Pt(20, 5, 0), nil)
-	// An unrelated door whose ATI boundary at 12:00 creates a checkpoint.
-	dy := b.AddDoor("dy", model.PublicDoor, geom.Pt(10, 10, 0), sched("12:00", "13:00"))
-	b.ConnectBi(d, hall, room)
-	b.ConnectBi(dy, hall, side)
-	g := itgraph.MustNew(b.MustBuild())
-	e := NewEngine(g, Options{})
-
-	// Depart 5 s before the 12:00 checkpoint: the ~26 s walk crosses it.
-	q := Query{Source: geom.Pt(2, 5, 0), Target: geom.Pt(38, 5, 0), At: temporal.Clock(11, 59, 55)}
-	p, _, err := e.Route(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The path's own door is always open, so the validity window is wide…
-	if vw, err := ValidityWindow(g, p, q); err != nil || vw.Duration() <= 0 {
-		t.Fatalf("validity window = %v, %v", vw, err)
-	}
-	// …but the answer window must refuse the checkpoint-crossing walk.
-	if _, err := e.AnswerWindow(p, q); err == nil {
-		t.Fatal("walk crossing a checkpoint must refuse an answer window")
-	}
-	// Departing safely inside the slot, the window reappears.
-	q2 := q
-	q2.At = temporal.Clock(11, 0, 0)
-	p2, _, err := e.Route(q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, err := e.AnswerWindow(p2, q2); err != nil || !w.Contains(q2.At) {
-		t.Fatalf("answer window = %v, %v", w, err)
-	}
-}
-
-func TestAnswerWindowStatic(t *testing.T) {
-	// Static answers ignore temporal variation: even a path crossing a
-	// closed door is the engine's answer at every departure, so the
-	// window is the whole day.
-	g := wrapVenue(t, sched("8:00", "16:00"))
-	q := Query{Source: geom.Pt(2, 5, 0), Target: geom.Pt(38, 5, 0), At: temporal.Clock(20, 0, 0)}
-	e := NewEngine(g, Options{Method: MethodStatic})
-	p, _, err := e.Route(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := e.AnswerWindow(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Open != 0 || w.Close != temporal.DaySeconds {
-		t.Fatalf("static window = %v, want the full day", w)
-	}
-	// A waiting path is refused regardless of method.
-	pw := *p
-	pw.TotalWait = 30
-	if _, err := e.AnswerWindow(&pw, q); err == nil {
-		t.Fatal("waiting path must be refused")
-	}
-}
-
-// TestAnswerWindowProperty is the caching soundness property: every
-// departure sampled inside an answer window makes a fresh engine run
-// return a byte-identical answer — same doors, same partitions, same
-// length, and arrivals equal to the rebased originals bit for bit
-// (departure + PathDistances/speed).
-func TestAnswerWindowProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	windows := 0
-	for trial := 0; trial < 60; trial++ {
-		v := randomVenue(t, rng, 3, 3)
-		g := itgraph.MustNew(v)
-		method := []Method{MethodSyn, MethodAsyn}[trial%2]
-		// Every third trial runs the NoDistanceMatrix ablation: the
-		// window derivation must stay faithful to whatever leg
-		// arithmetic the engine actually searches with.
-		e := NewEngine(g, Options{Method: method, NoDistanceMatrix: trial%3 == 0})
-		q := Query{
-			Source: geom.Pt(rng.Float64()*30, rng.Float64()*30, 0),
-			Target: geom.Pt(rng.Float64()*30, rng.Float64()*30, 0),
-			At:     temporal.TimeOfDay(rng.Float64() * 86400),
-		}
-		p, _, err := e.RouteOrNil(q)
-		if err != nil || p == nil {
-			continue
-		}
-		w, err := e.AnswerWindow(p, q)
-		if err != nil {
-			continue // walk crosses a checkpoint: legitimately uncacheable
-		}
-		windows++
-		dists := e.PathDistances(p, q)
-		for probe := 0; probe < 6; probe++ {
-			at := w.Open + temporal.TimeOfDay(rng.Float64())*(w.Close-w.Open)
-			if probe == 0 {
-				at = w.Open // the closed edge must hold exactly
-			}
-			qq := q
-			qq.At = at
-			fresh, _, err := e.Route(qq)
-			if err != nil {
-				t.Fatalf("trial %d (%v): fresh route at %v inside window %v failed: %v", trial, method, at, w, err)
-			}
-			if !reflect.DeepEqual(fresh.Doors, p.Doors) || !reflect.DeepEqual(fresh.Partitions, p.Partitions) {
-				t.Fatalf("trial %d (%v): answer changed inside window %v at %v:\n got  %v %v\n want %v %v",
-					trial, method, w, at, fresh.Doors, fresh.Partitions, p.Doors, p.Partitions)
-			}
-			if fresh.Length != p.Length {
-				t.Fatalf("trial %d (%v): length %v != %v inside window", trial, method, fresh.Length, p.Length)
-			}
-			// Rebased arrivals must be bit-identical to the fresh run's.
-			for i := range dists {
-				if want := at + temporal.TimeOfDay(dists[i]/WalkingSpeedMPS); fresh.Arrivals[i] != want {
-					t.Fatalf("trial %d: arrival[%d] = %v, rebased %v", trial, i, fresh.Arrivals[i], want)
-				}
-			}
-			if want := at + temporal.TimeOfDay(p.Length/WalkingSpeedMPS); fresh.ArrivalAtTgt != want {
-				t.Fatalf("trial %d: target arrival %v, rebased %v", trial, fresh.ArrivalAtTgt, want)
-			}
-		}
-	}
-	if windows < 10 {
-		t.Fatalf("only %d answer windows derived across trials — fixture too weak", windows)
 	}
 }
 

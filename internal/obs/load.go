@@ -18,7 +18,7 @@ import (
 // writer adds Queries FIRST and the outcome signals after, while the
 // reader loads the outcome signals first and Queries LAST, then
 // re-checks the bucket's second. Any windowed view therefore
-// satisfies ExactHits+WindowHits+SkeletonHits+Deduped <= Queries —
+// satisfies ExactHits+SkeletonHits+Deduped <= Queries —
 // hits may be momentarily undercounted relative to arrivals, never
 // the reverse.
 
@@ -47,7 +47,6 @@ var LoadWindows = []int{10, 60, LoadRetentionSec}
 type LoadSample struct {
 	Queries        int64 `json:"queries"`
 	ExactHits      int64 `json:"exact_hits"`
-	WindowHits     int64 `json:"window_hits"`
 	SkeletonHits   int64 `json:"skeleton_hits"`
 	Deduped        int64 `json:"deduped"`
 	SharedAnswers  int64 `json:"shared_answers"`
@@ -108,7 +107,6 @@ func (s *LoadSample) CountReason(r Reason) {
 const (
 	loadQueries = iota
 	loadExactHits
-	loadWindowHits
 	loadDeduped
 	loadSharedAnswers
 	loadEngineSearches
@@ -203,7 +201,6 @@ func (r *LoadRing) Feed(s LoadSample) {
 	// Queries first — the reader loads it last.
 	b.add(loadQueries, s.Queries)
 	b.add(loadExactHits, s.ExactHits)
-	b.add(loadWindowHits, s.WindowHits)
 	b.add(loadDeduped, s.Deduped)
 	b.add(loadSharedAnswers, s.SharedAnswers)
 	b.add(loadEngineSearches, s.EngineSearches)
@@ -281,7 +278,6 @@ func (r *LoadRing) Windows(spans []int) []LoadSample {
 func (s *LoadSample) accumulate(c *[numLoadSignals]int64) {
 	s.Queries += c[loadQueries]
 	s.ExactHits += c[loadExactHits]
-	s.WindowHits += c[loadWindowHits]
 	s.Deduped += c[loadDeduped]
 	s.SharedAnswers += c[loadSharedAnswers]
 	s.EngineSearches += c[loadEngineSearches]

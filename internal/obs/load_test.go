@@ -46,22 +46,22 @@ func TestLoadRingWindowRollOff(t *testing.T) {
 	var clk fakeClock
 	clk.install(r, 2_000_000)
 
-	r.Feed(LoadSample{Queries: 5, WindowHits: 5})
+	r.Feed(LoadSample{Queries: 5, SkeletonHits: 5})
 	clk.advance(9) // old second is age 9: still inside the 10s window
 	r.Feed(LoadSample{Queries: 1})
 
 	w10, w60, _ := windows(r)
-	if w10.Queries != 6 || w10.WindowHits != 5 {
-		t.Fatalf("10s window = %+v, want queries=6 windowHits=5", w10)
+	if w10.Queries != 6 || w10.SkeletonHits != 5 {
+		t.Fatalf("10s window = %+v, want queries=6 skeletonHits=5", w10)
 	}
 
 	clk.advance(1) // old second now age 10: out of 10s, still in 60s
 	w10, w60, _ = windows(r)
-	if w10.Queries != 1 || w10.WindowHits != 0 {
+	if w10.Queries != 1 || w10.SkeletonHits != 0 {
 		t.Fatalf("10s window after roll-off = %+v, want queries=1", w10)
 	}
-	if w60.Queries != 6 || w60.WindowHits != 5 {
-		t.Fatalf("60s window = %+v, want queries=6 windowHits=5", w60)
+	if w60.Queries != 6 || w60.SkeletonHits != 5 {
+		t.Fatalf("60s window = %+v, want queries=6 skeletonHits=5", w60)
 	}
 
 	clk.advance(60) // both seconds out of 60s, still in 300s
@@ -153,7 +153,7 @@ func TestLoadRingConcurrentFeeders(t *testing.T) {
 	// never exceed arrivals, in any window.
 	w10, w60, w300 := windows(r)
 	for i, w := range []LoadSample{w10, w60, w300} {
-		if w.ExactHits+w.WindowHits+w.Deduped > w.Queries {
+		if w.ExactHits+w.SkeletonHits+w.Deduped > w.Queries {
 			t.Fatalf("window %d violates partition: %+v", i, w)
 		}
 	}
@@ -164,7 +164,7 @@ func TestLoadRingConcurrentFeeders(t *testing.T) {
 
 // TestLoadRingScrapePartitionMidTraffic hammers snapshots while
 // feeders run on the real clock: every windowed view must satisfy
-// ExactHits+WindowHits+Deduped <= Queries, mid-rotation included.
+// ExactHits+SkeletonHits+Deduped <= Queries, mid-rotation included.
 func TestLoadRingScrapePartitionMidTraffic(t *testing.T) {
 	r := NewLoadRing()
 	stop := make(chan struct{})
@@ -184,7 +184,7 @@ func TestLoadRingScrapePartitionMidTraffic(t *testing.T) {
 				case 0:
 					s.ExactHits = 1
 				case 1:
-					s.WindowHits = 1
+					s.SkeletonHits = 1
 				default:
 					s.EngineSearches = 1
 					s.CountReason(ReasonNoExactEntry)
@@ -197,7 +197,7 @@ func TestLoadRingScrapePartitionMidTraffic(t *testing.T) {
 	deadline := time.Now().Add(100 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		for _, w := range r.Windows(LoadWindows) {
-			if w.ExactHits+w.WindowHits+w.Deduped > w.Queries {
+			if w.ExactHits+w.SkeletonHits+w.Deduped > w.Queries {
 				close(stop)
 				wg.Wait()
 				t.Fatalf("scrape violates partition: %+v", w)
@@ -230,7 +230,7 @@ func TestLoadRingFeedZeroAlloc(t *testing.T) {
 // smoke catches it without inspecting -benchmem output.
 func BenchmarkLoadRingFeed(b *testing.B) {
 	r := NewLoadRing()
-	s := LoadSample{Queries: 1, WindowHits: 1, MissOutsideWindows: 0}
+	s := LoadSample{Queries: 1, SkeletonHits: 1, MissOutsideWindows: 0}
 	if n := testing.AllocsPerRun(100, func() { r.Feed(s) }); n != 0 {
 		b.Fatalf("load-ring Feed allocates %.1f per op, want 0 (always-on path must stay allocation-free)", n)
 	}

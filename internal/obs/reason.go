@@ -18,13 +18,15 @@ const (
 	// the query has no cache identity at all.
 	ReasonUncacheable
 	// ReasonNoExactEntry: the exact-key cache had no entry and no
-	// window store was consulted (window cache off or absent).
+	// family store was consulted (skeleton cache off, or a
+	// same-partition pair, which families never cover).
 	ReasonNoExactEntry
-	// ReasonWindowFamilyAbsent: the window store holds no validity
-	// series for this endpoint family at this speed.
+	// ReasonWindowFamilyAbsent: the family store holds no skeleton
+	// family for the query's partition pair. The wire name predates
+	// the family store and is kept stable.
 	ReasonWindowFamilyAbsent
-	// ReasonOutsideWindows: the family exists but the departure time
-	// falls outside every stored validity window.
+	// ReasonOutsideWindows: the pair has stored families, but the
+	// departure falls outside every family's slot window.
 	ReasonOutsideWindows
 	// ReasonSkeletonUncertified: a partition-pair skeleton family was
 	// stored for the query's slot, but the composition could not be

@@ -19,13 +19,12 @@ type PairKey struct {
 
 // PairSample is one additive batch of per-pair tallies. Conventions
 // mirror LoadSample: every query counts once in Queries, and at most
-// one of ExactHits / WindowHits / SkeletonHits / Deduped /
-// EngineSearches describes how it was answered. Effort is the summed engine work (frontier pops)
-// spent on the pair's dedicated searches.
+// one of ExactHits / SkeletonHits / Deduped / EngineSearches describes
+// how it was answered. Effort is the summed engine work (frontier
+// pops) spent on the pair's dedicated searches.
 type PairSample struct {
 	Queries        int64 `json:"queries"`
 	ExactHits      int64 `json:"exact_hits"`
-	WindowHits     int64 `json:"window_hits"`
 	SkeletonHits   int64 `json:"skeleton_hits"`
 	Deduped        int64 `json:"deduped"`
 	EngineSearches int64 `json:"engine_searches"`
@@ -35,7 +34,6 @@ type PairSample struct {
 func (s *PairSample) add(o PairSample) {
 	s.Queries += o.Queries
 	s.ExactHits += o.ExactHits
-	s.WindowHits += o.WindowHits
 	s.SkeletonHits += o.SkeletonHits
 	s.Deduped += o.Deduped
 	s.EngineSearches += o.EngineSearches

@@ -77,14 +77,14 @@ func TestTopKTallies(t *testing.T) {
 	tk := NewTopK(2)
 	k := PairKey{Src: 1, Tgt: 2}
 	tk.Feed(k, PairSample{Queries: 1, ExactHits: 1})
-	tk.Feed(k, PairSample{Queries: 1, WindowHits: 1})
+	tk.Feed(k, PairSample{Queries: 1, SkeletonHits: 1})
 	tk.Feed(k, PairSample{Queries: 2, Deduped: 2})
 	tk.Feed(k, PairSample{Queries: 1, EngineSearches: 1, Effort: 42})
 	snap := tk.Snapshot()
 	pc := snap[0]
-	if pc.Key != k || pc.Queries != 5 || pc.ExactHits != 1 || pc.WindowHits != 1 ||
+	if pc.Key != k || pc.Queries != 5 || pc.ExactHits != 1 || pc.SkeletonHits != 1 ||
 		pc.Deduped != 2 || pc.EngineSearches != 1 || pc.Effort != 42 || pc.ErrBound != 0 {
-		t.Fatalf("tallies = %+v, want queries=5 exact=1 window=1 deduped=2 searches=1 effort=42 err=0", pc)
+		t.Fatalf("tallies = %+v, want queries=5 exact=1 skeleton=1 deduped=2 searches=1 effort=42 err=0", pc)
 	}
 	// Fill the second slot lightly, then displace it: the adopter
 	// inherits only the query weight, never the attribute tallies.

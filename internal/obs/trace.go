@@ -20,7 +20,7 @@ const (
 	// batch flush starts. Only requests the coalescer holds — cache
 	// misses; hits are answered before the hold — record it.
 	StageHold
-	// StageProbe covers the exact-cache and validity-window cache
+	// StageProbe covers the exact-cache and skeleton-family
 	// lookups.
 	StageProbe
 	// StagePlan covers batch dedup and batchplan grouping.

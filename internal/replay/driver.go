@@ -393,8 +393,6 @@ func aggregatePhase(ph *Phase, results []qresult, oracle *phaseOracle, before, a
 			switch r.hit {
 			case "exact":
 				phr.Provenance.Exact++
-			case "window":
-				phr.Provenance.Window++
 			case "skeleton":
 				phr.Provenance.Skeleton++
 			default:
@@ -462,7 +460,6 @@ func statsDelta(before, after *server.StatsResponse, venue string) StatsDeltaDoc
 		d.EngineSearches += am.EngineSearches - bm.EngineSearches
 		d.FamiliesBuilt += am.FamilyBuilds - bm.FamilyBuilds
 		d.ExactHits += am.CacheHits - bm.CacheHits
-		d.WindowHits += am.WindowHits - bm.WindowHits
 		d.SkeletonHits += am.SkeletonHits - bm.SkeletonHits
 		d.Deduped += am.Deduped - bm.Deduped
 		d.SharedRuns += am.SharedRuns - bm.SharedRuns

@@ -27,18 +27,17 @@ type LatencyDoc struct {
 // ProvenanceDoc counts how the phase's answers were produced, from the
 // per-response wire flags (hit / coalesced / shared_run / shared).
 type ProvenanceDoc struct {
-	// Miss / Exact / Window / Skeleton are the "hit" provenance of
+	// Miss / Exact / Skeleton are the "hit" provenance of
 	// each answer (Skeleton counts answers composed point-free from a
 	// stored door-to-door skeleton family).
 	Miss     int `json:"miss"`
 	Exact    int `json:"exact"`
-	Window   int `json:"window"`
 	Skeleton int `json:"skeleton"`
 	// Coalesced counts answers served out of a multi-query coalescer
 	// flush; SharedRun counts answers produced by a multi-query shared
 	// engine execution; Deduped counts answers shared from an
 	// identical query in the same flush. The three overlap with the
-	// hit counts (a coalesced answer is also a miss, exact or window).
+	// hit counts (a coalesced answer is also a miss, exact or skeleton hit).
 	Coalesced int `json:"coalesced"`
 	SharedRun int `json:"shared_run"`
 	Deduped   int `json:"deduped"`
@@ -52,7 +51,6 @@ type StatsDeltaDoc struct {
 	Queries        int64 `json:"queries"`
 	EngineSearches int64 `json:"engine_searches"`
 	ExactHits      int64 `json:"cache_hits"`
-	WindowHits     int64 `json:"window_hits"`
 	SkeletonHits   int64 `json:"skeleton_hits"`
 	Deduped        int64 `json:"deduped"`
 	SharedRuns     int64 `json:"shared_runs"`
@@ -586,8 +584,6 @@ func (ph *PhaseReport) metricValue(metric string) float64 {
 		return float64(ph.Provenance.Coalesced)
 	case MetricExactHits:
 		return float64(ph.Provenance.Exact)
-	case MetricWindowHits:
-		return float64(ph.Provenance.Window)
 	case MetricSkeletonHits:
 		return float64(ph.Provenance.Skeleton)
 	}

@@ -3,7 +3,7 @@
 // "day in the venue" against a live query daemon (internal/server over
 // httptest, or a real itspqd reached by URL) and records what the
 // serving stack actually did — per-phase latency percentiles, engine
-// searches per query, cache/window/coalesce provenance counts scraped
+// searches per query, cache/coalesce provenance counts scraped
 // from /statsz, error and timeout tallies, and schedule-flip
 // consistency checks — as a structured BENCH_replay.json artifact with
 // embedded pass/fail verdicts.
@@ -168,7 +168,6 @@ const (
 	MetricMaxMs            = "max_ms"
 	MetricCoalesced        = "coalesced"     // answers flagged coalesced
 	MetricExactHits        = "exact_hits"    // answers flagged hit=exact
-	MetricWindowHits       = "window_hits"   // answers flagged hit=window
 	MetricSkeletonHits     = "skeleton_hits" // answers flagged hit=skeleton
 	// MetricEngineRunsPerQuery is (engine searches + skeleton family
 	// builds) / served queries, from the same /statsz deltas.
@@ -180,8 +179,7 @@ var validMetrics = map[string]bool{
 	MetricQueries: true, MetricErrors: true, MetricTimeouts: true,
 	MetricMixedAnswers: true, MetricSearchesPerQuery: true, MetricEngineRunsPerQuery: true,
 	MetricP50Ms: true, MetricP95Ms: true, MetricP99Ms: true, MetricMaxMs: true,
-	MetricCoalesced: true, MetricExactHits: true, MetricWindowHits: true,
-	MetricSkeletonHits: true,
+	MetricCoalesced: true, MetricExactHits: true, MetricSkeletonHits: true,
 }
 
 // compare applies the check's operator.
@@ -516,7 +514,7 @@ func Builtin(name string, quick bool) (*Scenario, error) {
 		// The point-free motivator: waves of queries between the same
 		// hot partition pairs with every endpoint independently
 		// jittered — Templates is deliberately 0, so no two queries
-		// repeat an exact point and the exact/window caches score ~0.
+		// repeat an exact point and the exact cache scores ~0.
 		// Only skeleton composition can absorb the wave. A short scout
 		// phase sends the first travellers through each pair (their
 		// misses build the door-to-door families), then the jittered

@@ -9,13 +9,13 @@ import (
 )
 
 // newSoakServer boots an in-process daemon serving the hospital preset
-// with the full serving stack on — window cache, skeleton-family
-// store, shared-execution batch planner and request coalescing — the
+// with the full serving stack on — skeleton-family store,
+// shared-execution batch planner and request coalescing — the
 // configuration the scenarios are written to exercise (and what the CI
 // replay-smoke job boots as a real process).
 func newSoakServer(t testing.TB) *httptest.Server {
 	t.Helper()
-	reg := server.NewRegistry(service.Options{WindowCache: true, SkeletonCache: true, SharedBatch: true})
+	reg := server.NewRegistry(service.Options{SkeletonCache: true, SharedBatch: true})
 	if _, err := reg.AddPresets("hospital"); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func runBuiltin(t *testing.T, name string, quick bool) *Report {
 
 // TestFlipStormSoak replays the flip-storm scenario — schedule updates
 // racing waves of syn/asyn/static traffic — against an in-process
-// server with coalescing, window cache and shared execution all
+// server with coalescing, skeleton store and shared execution all
 // enabled, and asserts the PR 2/5 atomicity invariants from the
 // OUTSIDE: every answer byte-matches a sequential engine under some
 // schedule state the daemon could legally have been in, never a mix of
@@ -71,7 +71,7 @@ func TestFlipStormSoak(t *testing.T) {
 	}
 	// The hot set is 6 templates over (up to) 4 schedule states; with
 	// exact caching on, engine searches stay around states * templates
-	// regardless of how many queries replayed (window cache and
+	// regardless of how many queries replayed (the skeleton store and
 	// coalescing only push the number lower). 2x slack tolerates
 	// concurrent same-template misses racing a cache fill.
 	if maxSearches := int64(2 * 4 * 6); ph.StatsDelta.EngineSearches > maxSearches {
@@ -104,7 +104,7 @@ func TestSteadyReplay(t *testing.T) {
 		t.Fatal("no found answers")
 	}
 	// 120 queries over 16 templates: the exact cache must absorb most.
-	if got := ph.Provenance.Exact + ph.Provenance.Window; got == 0 {
+	if got := ph.Provenance.Exact + ph.Provenance.Skeleton; got == 0 {
 		t.Fatalf("no cache hits across a templated phase: %+v", ph.Provenance)
 	}
 	if len(rep.Verdicts) != 3 {
@@ -224,7 +224,7 @@ func TestNeighborhoodSoak(t *testing.T) {
 	}
 	// The phase's hit classes partition its server-side queries.
 	d := &ph.StatsDelta
-	if d.ExactHits+d.WindowHits+d.SkeletonHits+d.Deduped > d.Queries {
+	if d.ExactHits+d.SkeletonHits+d.Deduped > d.Queries {
 		t.Fatalf("phase stats delta does not partition: %+v", d)
 	}
 }

@@ -11,15 +11,15 @@ import (
 
 // This file implements GET /cachez: the cache- and workload-
 // introspection endpoint. Per venue and method it renders exact-cache
-// and window-store occupancy vs capacity with eviction counters, the
-// window store's per-OD-pair coverage map, the space-saving top-K pair
-// table with hit rates, and the per-search engine-effort histograms.
-// Supports the shared strict ?venue=/?method= filters.
+// and skeleton-store occupancy vs capacity with eviction counters, the
+// skeleton store's per-OD-pair coverage map, the space-saving top-K
+// pair table with hit rates, and the per-search engine-effort
+// histograms. Supports the shared strict ?venue=/?method= filters.
 
-// maxWindowPairs caps the per-pair window listing in one /cachez body.
-// PairsTotal always reports the uncapped count, so the cap is never a
-// silent truncation.
-const maxWindowPairs = 64
+// maxCoveragePairs caps the per-pair coverage listing in one /cachez
+// body. PairsTotal always reports the uncapped count, so the cap is
+// never a silent truncation.
+const maxCoveragePairs = 64
 
 // handleCachez serves the cache introspection view. Each venue/method
 // doc is gathered in one pass whose read order makes the body's
@@ -53,14 +53,13 @@ func (s *Server) handleCachez(w http.ResponseWriter, r *http.Request) {
 
 // cacheMethodDoc gathers one pool's introspection doc. Read order is
 // the scrape-consistency discipline: top-K pairs first, then effort
-// histograms and window coverage, then Stats — whose own read order
+// histograms and family coverage, then Stats — whose own read order
 // puts the query counter last, so it dominates every tally above.
 func cacheMethodDoc(ve *Venue, m core.Method, mv *model.Venue) CacheMethodDoc {
 	pool := ve.Pool(m)
 	pairs := pool.HotPairs()
 	effort := pool.Effort()
-	coverage := pool.WindowCoverage()
-	skelCov := pool.SkeletonCoverage()
+	coverage := pool.SkeletonCoverage()
 	st := pool.Stats()
 
 	doc := CacheMethodDoc{
@@ -69,60 +68,35 @@ func cacheMethodDoc(ve *Venue, m core.Method, mv *model.Venue) CacheMethodDoc {
 			Capacity:  st.CacheCapacity,
 			Evictions: st.CacheEvictions,
 		},
-		Window: WindowStoreDoc{
-			Windows:    st.Windows,
-			Capacity:   st.WindowCapacity,
-			Evictions:  st.WindowEvictions,
-			PairsTotal: len(coverage),
-		},
 		Skeleton: SkeletonStoreDoc{
 			Families:   st.SkelFamilies,
 			Capacity:   st.SkelCapacity,
 			Evictions:  st.SkelEvictions,
-			PairsTotal: len(skelCov),
+			PairsTotal: len(coverage),
 		},
 		PairCapacity: pool.HotPairCapacity(),
 		Queries:      st.Queries,
 		EngineEffort: effort,
 	}
 
-	// The skeleton coverage map: per-pair family and chain counts with
-	// whole-pair day coverage, most chains first (tcache order).
-	for i, pc := range skelCov {
-		if i >= maxWindowPairs {
-			break
-		}
-		doc.Skeleton.Pairs = append(doc.Skeleton.Pairs, SkeletonPairDoc{
-			Src:         partName(mv, pc.Key.Src),
-			Tgt:         partName(mv, pc.Key.Tgt),
-			Families:    pc.Families,
-			Chains:      pc.Windows,
-			DayCoverage: pc.CoveredSec / float64(temporal.DaySeconds),
-		})
-	}
-
-	// The coverage map: per-pair window counts and day coverage, most
-	// windows first (tcache.Coverage order), capped but never silently.
-	covByKey := make(map[tcache.Key]tcache.PairCoverage, len(coverage))
+	// The coverage map: per-pair family and chain counts with
+	// whole-pair day coverage, most chains first (tcache order),
+	// capped but never silently.
+	dayCoverage := make(map[tcache.Key]float64, len(coverage))
 	for i, pc := range coverage {
-		covByKey[pc.Key] = pc
-		if i < maxWindowPairs {
-			doc.Window.Pairs = append(doc.Window.Pairs, WindowPairDoc{
+		day := pc.CoveredSec / float64(temporal.DaySeconds)
+		dayCoverage[pc.Key] = day
+		if i < maxCoveragePairs {
+			doc.Skeleton.Pairs = append(doc.Skeleton.Pairs, SkeletonPairDoc{
 				Src:         partName(mv, pc.Key.Src),
 				Tgt:         partName(mv, pc.Key.Tgt),
 				Families:    pc.Families,
-				Windows:     pc.Windows,
-				DayCoverage: dayCoverage(pc),
+				Chains:      pc.Chains,
+				DayCoverage: day,
 			})
 		}
 	}
 
-	ratio := func(num, den int64) float64 {
-		if den == 0 {
-			return 0
-		}
-		return float64(num) / float64(den)
-	}
 	for _, pc := range pairs {
 		key := tcache.Key{Src: model.PartitionID(pc.Key.Src), Tgt: model.PartitionID(pc.Key.Tgt)}
 		row := HotPairDoc{
@@ -130,31 +104,19 @@ func cacheMethodDoc(ve *Venue, m core.Method, mv *model.Venue) CacheMethodDoc {
 			Tgt:            partName(mv, key.Tgt),
 			Queries:        pc.Queries,
 			ExactHits:      pc.ExactHits,
-			WindowHits:     pc.WindowHits,
 			SkeletonHits:   pc.SkeletonHits,
 			Deduped:        pc.Deduped,
 			EngineSearches: pc.EngineSearches,
 			Effort:         pc.Effort,
 			ErrBound:       pc.ErrBound,
-			ExactHitRate:   ratio(pc.ExactHits, pc.Queries),
-			WindowHitRate:  ratio(pc.WindowHits, pc.Queries),
+			DayCoverage:    dayCoverage[key],
 		}
-		if cov, ok := covByKey[key]; ok {
-			row.DayCoverage = dayCoverage(cov)
+		if pc.Queries > 0 {
+			row.ExactHitRate = float64(pc.ExactHits) / float64(pc.Queries)
 		}
 		doc.TopPairs = append(doc.TopPairs, row)
 	}
 	return doc
-}
-
-// dayCoverage derives a pair's mean per-family share of the 24h
-// departure axis. Windows within one family are disjoint, so the
-// value lies in [0, 1].
-func dayCoverage(pc tcache.PairCoverage) float64 {
-	if pc.Families == 0 {
-		return 0
-	}
-	return pc.CoveredSec / (float64(pc.Families) * float64(temporal.DaySeconds))
 }
 
 // partName resolves a partition ID against the venue model.

@@ -24,14 +24,15 @@ func newTinyCacheTestServer(t testing.TB) *httptest.Server {
 }
 
 // TestCachezAfterTraffic walks one query family through all three
-// provenance outcomes on a window-enabled server and checks the
-// /cachez body tells the same story: exact-cache and window-store
+// provenance outcomes on a skeleton-enabled server and checks the
+// /cachez body tells the same story: exact-cache and skeleton-store
 // occupancy within capacity, a populated coverage map, and a top-pair
 // row whose tallies match the driven traffic exactly.
 func TestCachezAfterTraffic(t *testing.T) {
-	ts, _ := newWindowTestServer(t, Options{})
+	ts, _ := newTieredTestServer(t, Options{})
 	routeAt(t, ts.URL, "11:00", false) // miss: engine search
-	routeAt(t, ts.URL, "11:20", false) // same visiting-hours slot: window hit
+	routeAt(t, ts.URL, "11:20", false) // repeat miss of the pair: builds its family
+	routeAt(t, ts.URL, "11:40", false) // same visiting-hours slot: skeleton hit
 	routeAt(t, ts.URL, "11:00", false) // exact repeat
 
 	var cz CachezResponse
@@ -49,21 +50,22 @@ func TestCachezAfterTraffic(t *testing.T) {
 	}
 
 	doc := methods["asyn"]
-	if doc.Queries != 3 {
-		t.Fatalf("queries = %d, want 3", doc.Queries)
+	if doc.Queries != 4 {
+		t.Fatalf("queries = %d, want 4", doc.Queries)
 	}
 	if doc.Exact.Entries < 1 || doc.Exact.Capacity <= 0 || doc.Exact.Entries > doc.Exact.Capacity {
 		t.Fatalf("exact occupancy = %+v", doc.Exact)
 	}
-	if doc.Window.Windows < 1 || doc.Window.Capacity <= 0 || doc.Window.Windows > doc.Window.Capacity {
-		t.Fatalf("window occupancy = %+v", doc.Window)
+	sk := doc.Skeleton
+	if sk.Families != 1 || sk.Capacity <= 0 || sk.Families > sk.Capacity {
+		t.Fatalf("skeleton occupancy = %+v", sk)
 	}
-	if doc.Window.PairsTotal < 1 || len(doc.Window.Pairs) != doc.Window.PairsTotal {
-		t.Fatalf("window coverage = %d pairs listed, pairs_total = %d", len(doc.Window.Pairs), doc.Window.PairsTotal)
+	if sk.PairsTotal != 1 || len(sk.Pairs) != sk.PairsTotal {
+		t.Fatalf("skeleton coverage = %d pairs listed, pairs_total = %d", len(sk.Pairs), sk.PairsTotal)
 	}
-	for _, p := range doc.Window.Pairs {
-		if p.Windows < p.Families || p.Families < 1 {
-			t.Fatalf("coverage row %+v: want windows >= families >= 1", p)
+	for _, p := range sk.Pairs {
+		if p.Chains < p.Families || p.Families < 1 {
+			t.Fatalf("coverage row %+v: want chains >= families >= 1", p)
 		}
 		if p.DayCoverage <= 0 || p.DayCoverage > 1 {
 			t.Fatalf("coverage row %+v: day_coverage outside (0, 1]", p)
@@ -80,32 +82,33 @@ func TestCachezAfterTraffic(t *testing.T) {
 	if top.Src == "" || top.Tgt == "" {
 		t.Fatalf("top pair endpoints unresolved: %+v", top)
 	}
-	if top.Queries != 3 || top.ExactHits != 1 || top.WindowHits != 1 ||
-		top.EngineSearches != 1 || top.Deduped != 0 || top.ErrBound != 0 {
-		t.Fatalf("top pair tallies = %+v, want 3 queries / 1 exact / 1 window / 1 search", top)
+	if top.Queries != 4 || top.ExactHits != 1 || top.SkeletonHits != 1 ||
+		top.EngineSearches != 2 || top.Deduped != 0 || top.ErrBound != 0 {
+		t.Fatalf("top pair tallies = %+v, want 4 queries / 1 exact / 1 skeleton / 2 searches", top)
 	}
 	if top.Effort <= 0 {
-		t.Fatalf("top pair effort = %d, want > 0 (one engine run)", top.Effort)
+		t.Fatalf("top pair effort = %d, want > 0 (two engine runs)", top.Effort)
 	}
-	if top.ExactHitRate != 1.0/3 || top.WindowHitRate != 1.0/3 {
-		t.Fatalf("top pair hit rates = %v/%v, want 1/3 each", top.ExactHitRate, top.WindowHitRate)
+	if top.ExactHitRate != 1.0/4 {
+		t.Fatalf("top pair exact hit rate = %v, want 1/4", top.ExactHitRate)
 	}
-	if top.DayCoverage <= 0 || top.DayCoverage > 1 {
-		t.Fatalf("top pair day_coverage = %v, want (0, 1]", top.DayCoverage)
+	if top.DayCoverage != sk.Pairs[0].DayCoverage {
+		t.Fatalf("top pair day_coverage = %v, want the pair's family coverage %v", top.DayCoverage, sk.Pairs[0].DayCoverage)
 	}
 
-	// One engine run: every effort histogram holds exactly one
-	// observation, and the count-valued sums carry raw units.
+	// Two engine runs: every effort histogram holds exactly two
+	// observations (family builds are not searches), and the
+	// count-valued sums carry raw units.
 	eff := doc.EngineEffort
-	if eff.Pops.Count != 1 || eff.Settled.Count != 1 || eff.Relaxations.Count != 1 || eff.TVChecks.Count != 1 {
-		t.Fatalf("effort counts = %d/%d/%d/%d, want 1 each",
+	if eff.Pops.Count != 2 || eff.Settled.Count != 2 || eff.Relaxations.Count != 2 || eff.TVChecks.Count != 2 {
+		t.Fatalf("effort counts = %d/%d/%d/%d, want 2 each",
 			eff.Pops.Count, eff.Settled.Count, eff.Relaxations.Count, eff.TVChecks.Count)
 	}
 	if eff.Pops.SumSeconds < 1 || eff.Settled.SumSeconds < 1 {
 		t.Fatalf("effort sums = %v pops / %v settled, want >= 1 raw units", eff.Pops.SumSeconds, eff.Settled.SumSeconds)
 	}
 	if int64(eff.Pops.SumSeconds) != top.Effort {
-		t.Fatalf("histogram pops sum %v != top-pair effort %d for a single search", eff.Pops.SumSeconds, top.Effort)
+		t.Fatalf("histogram pops sum %v != top-pair effort %d for the pair's searches", eff.Pops.SumSeconds, top.Effort)
 	}
 
 	// The effort families surface on /metricsz from the same counters.
@@ -115,14 +118,14 @@ func TestCachezAfterTraffic(t *testing.T) {
 	}
 	body := string(raw)
 	labels := `{venue="hospital",method="asyn"}`
-	if got := metricValue(t, body, "indoorpath_engine_effort_pops_count"+labels); got != 1 {
-		t.Fatalf("effort pops metric count = %d, want 1", got)
+	if got := metricValue(t, body, "indoorpath_engine_effort_pops_count"+labels); got != 2 {
+		t.Fatalf("effort pops metric count = %d, want 2", got)
 	}
 	if got := metricValue(t, body, "indoorpath_cache_entries"+labels); got != doc.Exact.Entries {
 		t.Fatalf("cache entries metric = %d, want %d", got, doc.Exact.Entries)
 	}
-	if got := metricValue(t, body, "indoorpath_window_entries"+labels); got < 1 {
-		t.Fatalf("window entries metric = %d, want >= 1", got)
+	if got := metricValue(t, body, "indoorpath_skeleton_families"+labels); got != sk.Families {
+		t.Fatalf("skeleton families metric = %d, want %d", got, sk.Families)
 	}
 }
 
@@ -224,5 +227,42 @@ func TestScopeFilterValidation(t *testing.T) {
 		if resp, raw := doJSON(t, http.MethodGet, ts.URL+ep+"?venue=hospital&method=static", nil); resp.StatusCode != http.StatusOK {
 			t.Errorf("%s?venue=hospital&method=static status = %d body = %s", ep, resp.StatusCode, raw)
 		}
+	}
+}
+
+// TestNoWindowTierKeys pins that the removed window tier leaves no trace
+// on the wire: after traffic through every answer tier, no /statsz or
+// /cachez body carries a window-tier key at any depth.
+func TestNoWindowTierKeys(t *testing.T) {
+	ts, _ := newTieredTestServer(t, Options{})
+	for _, at := range []string{"11:00", "11:20", "11:40", "11:00"} {
+		routeAt(t, ts.URL, at, false)
+	}
+	banned := map[string]bool{
+		"window": true, "windows": true, "window_hits": true, "window_evictions": true,
+		"window_capacity": true, "window_hit_rate": true,
+	}
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, child := range v {
+				if banned[k] {
+					t.Errorf("%s carries window-tier key %q", path, k)
+				}
+				walk(path+"."+k, child)
+			}
+		case []any:
+			for _, child := range v {
+				walk(path+"[]", child)
+			}
+		}
+	}
+	for _, ep := range []string{"/statsz", "/cachez"} {
+		var body any
+		if resp := getJSON(t, ts.URL+ep, &body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status = %d", ep, resp.StatusCode)
+		}
+		walk(ep, body)
 	}
 }

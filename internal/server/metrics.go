@@ -41,9 +41,6 @@ var poolMetrics = []metricDef{
 	{"indoorpath_pool_exact_hits_total", "counter",
 		"Outcomes served from the exact-identity result cache.",
 		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].CacheHits }},
-	{"indoorpath_pool_window_hits_total", "counter",
-		"Outcomes served from the validity-window temporal result cache.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].WindowHits }},
 	{"indoorpath_pool_skeleton_hits_total", "counter",
 		"Outcomes composed from a stored door-to-door skeleton family.",
 		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].SkeletonHits }},
@@ -77,15 +74,6 @@ var poolMetrics = []metricDef{
 	{"indoorpath_cache_evictions_total", "counter",
 		"Exact-cache entries shed by capacity eviction (invalidation swaps excluded); survives backend swaps.",
 		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].CacheEvictions }},
-	{"indoorpath_window_entries", "gauge",
-		"Validity-window store occupancy (windows currently held).",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].Windows }},
-	{"indoorpath_window_capacity", "gauge",
-		"Validity-window store window capacity.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].WindowCapacity }},
-	{"indoorpath_window_evictions_total", "counter",
-		"Window-store windows shed by capacity eviction; survives backend swaps.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].WindowEvictions }},
 	{"indoorpath_skeleton_families", "gauge",
 		"Skeleton-family store occupancy (slot families currently held).",
 		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].SkelFamilies }},
@@ -163,9 +151,6 @@ var loadMetrics = []struct {
 	{"indoorpath_load_exact_hit_rate",
 		"Windowed fraction of queries served from the exact-identity cache.",
 		func(d LoadWindowDoc) float64 { return d.ExactHitRate }},
-	{"indoorpath_load_window_hit_rate",
-		"Windowed fraction of queries served from the validity-window cache.",
-		func(d LoadWindowDoc) float64 { return d.WindowHitRate }},
 	{"indoorpath_load_skeleton_hit_rate",
 		"Windowed fraction of queries composed from a stored skeleton family.",
 		func(d LoadWindowDoc) float64 { return d.SkeletonHitRate }},

@@ -110,7 +110,7 @@ func (s *Server) parseScopeFilter(w http.ResponseWriter, r *http.Request) (scope
 // hold-utilization view from the pool load rings. Each venue/method's
 // windows come from one single-pass ring read (loadSnapshots), so a
 // body's windows are mutually consistent and each individually
-// satisfies exact+window+dedup <= queries. Supports the shared strict
+// satisfies exact+skeleton+dedup <= queries. Supports the shared strict
 // ?venue=/?method= filters.
 func (s *Server) handleLoadz(w http.ResponseWriter, r *http.Request) {
 	f, ok := s.parseScopeFilter(w, r)
@@ -171,7 +171,6 @@ func loadWindowDoc(windowSec int, s obs.LoadSample) LoadWindowDoc {
 		WindowSec:        windowSec,
 		Queries:          s.Queries,
 		ExactHits:        s.ExactHits,
-		WindowHits:       s.WindowHits,
 		SkeletonHits:     s.SkeletonHits,
 		Deduped:          s.Deduped,
 		SharedAnswers:    s.SharedAnswers,
@@ -180,7 +179,6 @@ func loadWindowDoc(windowSec int, s obs.LoadSample) LoadWindowDoc {
 		FlushedQueries:   s.FlushedQueries,
 		ArrivalPerSec:    ratio(s.Queries, int64(windowSec)),
 		ExactHitRate:     ratio(s.ExactHits, s.Queries),
-		WindowHitRate:    ratio(s.WindowHits, s.Queries),
 		SkeletonHitRate:  ratio(s.SkeletonHits, s.Queries),
 		Shareability:     ratio(s.Deduped+s.SharedAnswers, s.Queries),
 		SearchesPerQuery: ratio(s.EngineSearches, s.Queries),
@@ -249,7 +247,7 @@ type statsSnapshot struct {
 // are independent atomics, so a snapshot taken under concurrent
 // traffic can be torn between counters — but the per-pool read order
 // inside service.Stats guarantees the serving-partition invariant
-// (cache_hits + window_hits + deduped + misses == queries, misses >=
+// (cache_hits + skeleton_hits + deduped + misses == queries, misses >=
 // engine-run lower bound) holds in every snapshot regardless.
 func (s *Server) snapshotStats() statsSnapshot {
 	venues := s.reg.Venues()

@@ -200,16 +200,16 @@ func metricValue(t testing.TB, body, series string) int64 {
 }
 
 // checkPartition asserts the serving-partition invariant on one set of
-// pool counters: every query is a cache hit, a window hit, a skeleton
-// composition, a batch dedup or a miss, and engine runs never exceed
+// pool counters: every query is a cache hit, a skeleton composition, a
+// batch dedup or a miss, and engine runs never exceed
 // misses. Guaranteed even in torn snapshots by the pool's counter read
 // order.
-func checkPartition(t testing.TB, where string, queries, cacheHits, windowHits, skeletonHits, deduped, engineSearches int64) {
+func checkPartition(t testing.TB, where string, queries, cacheHits, skeletonHits, deduped, engineSearches int64) {
 	t.Helper()
-	misses := queries - cacheHits - windowHits - skeletonHits - deduped
+	misses := queries - cacheHits - skeletonHits - deduped
 	if misses < 0 {
-		t.Errorf("%s: misses = %d - %d - %d - %d - %d = %d < 0",
-			where, queries, cacheHits, windowHits, skeletonHits, deduped, misses)
+		t.Errorf("%s: misses = %d - %d - %d - %d = %d < 0",
+			where, queries, cacheHits, skeletonHits, deduped, misses)
 	}
 	if engineSearches > misses {
 		t.Errorf("%s: engine_searches %d > misses %d", where, engineSearches, misses)
@@ -233,7 +233,7 @@ func TestScrapeConsistencyHammer(t *testing.T) {
 			defer writeWG.Done()
 			for i := 0; i < perWriter; i++ {
 				// Mix repeats (cache hits) with distinct departures
-				// (misses / window hits).
+				// (misses).
 				routeAt(t, ts.URL, fmt.Sprintf("10:%02d", (w*7+i)%30), false)
 			}
 		}(w)
@@ -253,7 +253,7 @@ func TestScrapeConsistencyHammer(t *testing.T) {
 				for id, doc := range st.Venues {
 					for m, ms := range doc.Methods {
 						checkPartition(t, fmt.Sprintf("statsz %s/%s", id, m),
-							ms.Queries, ms.CacheHits, ms.WindowHits, ms.SkeletonHits, ms.Deduped, ms.EngineSearches)
+							ms.Queries, ms.CacheHits, ms.SkeletonHits, ms.Deduped, ms.EngineSearches)
 					}
 				}
 				resp, raw := doJSON(t, http.MethodGet, ts.URL+"/metricsz", nil)
@@ -266,7 +266,6 @@ func TestScrapeConsistencyHammer(t *testing.T) {
 				checkPartition(t, "metricsz hospital/asyn",
 					metricValue(t, body, "indoorpath_pool_queries_total"+labels),
 					metricValue(t, body, "indoorpath_pool_exact_hits_total"+labels),
-					metricValue(t, body, "indoorpath_pool_window_hits_total"+labels),
 					metricValue(t, body, "indoorpath_pool_skeleton_hits_total"+labels),
 					metricValue(t, body, "indoorpath_pool_deduped_total"+labels),
 					metricValue(t, body, "indoorpath_pool_engine_searches_total"+labels))
@@ -284,7 +283,7 @@ func TestScrapeConsistencyHammer(t *testing.T) {
 				for id, methods := range lz.Venues {
 					for m, docs := range methods {
 						for _, doc := range docs {
-							if doc.ExactHits+doc.WindowHits+doc.SkeletonHits+doc.Deduped > doc.Queries {
+							if doc.ExactHits+doc.SkeletonHits+doc.Deduped > doc.Queries {
 								t.Errorf("loadz %s/%s %ds window violates partition: %+v", id, m, doc.WindowSec, doc)
 								return
 							}
@@ -305,10 +304,6 @@ func TestScrapeConsistencyHammer(t *testing.T) {
 							t.Errorf("%s: exact occupancy %d > capacity %d", where, doc.Exact.Entries, doc.Exact.Capacity)
 							return
 						}
-						if doc.Window.Windows > doc.Window.Capacity {
-							t.Errorf("%s: window occupancy %d > capacity %d", where, doc.Window.Windows, doc.Window.Capacity)
-							return
-						}
 						if doc.Skeleton.Families > doc.Skeleton.Capacity {
 							t.Errorf("%s: skeleton occupancy %d > capacity %d", where, doc.Skeleton.Families, doc.Skeleton.Capacity)
 							return
@@ -316,7 +311,7 @@ func TestScrapeConsistencyHammer(t *testing.T) {
 						var pairQueries int64
 						for _, p := range doc.TopPairs {
 							pairQueries += p.Queries
-							if p.ExactHits+p.WindowHits+p.SkeletonHits+p.Deduped > p.Queries {
+							if p.ExactHits+p.SkeletonHits+p.Deduped > p.Queries {
 								t.Errorf("%s: pair %s->%s tallies exceed its queries: %+v", where, p.Src, p.Tgt, p)
 								return
 							}
@@ -463,7 +458,7 @@ func TestLoadzAfterTraffic(t *testing.T) {
 		if doc.WindowSec != obs.LoadWindows[i] {
 			t.Fatalf("window %d span = %d, want %d", i, doc.WindowSec, obs.LoadWindows[i])
 		}
-		if doc.ExactHits+doc.WindowHits+doc.Deduped > doc.Queries {
+		if doc.ExactHits+doc.SkeletonHits+doc.Deduped > doc.Queries {
 			t.Fatalf("window %ds violates partition: %+v", doc.WindowSec, doc)
 		}
 	}
@@ -525,7 +520,7 @@ func TestMetricszLoadAndReasonFamilies(t *testing.T) {
 	body := string(raw)
 	for _, family := range []string{
 		"indoorpath_load_arrival_per_sec", "indoorpath_load_exact_hit_rate",
-		"indoorpath_load_window_hit_rate", "indoorpath_load_shareability",
+		"indoorpath_load_skeleton_hit_rate", "indoorpath_load_shareability",
 		"indoorpath_load_searches_per_query", "indoorpath_load_hold_utilization",
 		"indoorpath_load_flush_fanout",
 	} {

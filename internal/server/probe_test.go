@@ -100,7 +100,7 @@ func TestProbeBeforeHold(t *testing.T) {
 	if st.Queries != 2 || st.CacheHits != 1 || st.CacheMisses() != 1 || st.EngineSearches != 1 {
 		t.Fatalf("pool stats = %+v, want 2 queries: one exact hit, one searched miss", st)
 	}
-	checkPartition(t, "statsz hospital/asyn", st.Queries, st.CacheHits, st.WindowHits, st.SkeletonHits, st.Deduped, st.EngineSearches)
+	checkPartition(t, "statsz hospital/asyn", st.Queries, st.CacheHits, st.SkeletonHits, st.Deduped, st.EngineSearches)
 	cs := sr.Venues["hospital"].Coalesce["asyn"]
 	var held int64
 	for _, n := range cs.HoldBuckets {

@@ -206,15 +206,15 @@ func twoDoorVenue(t testing.TB) (*model.Venue, float64, float64) {
 // nearLen or farLen; a no-route response would mean a request observed
 // a half-applied update (or a stale post-swap cache entry).
 func TestRaceScheduleSwapAtomicity(t *testing.T) {
-	// Run the same contract over both cache backends: the validity-
-	// window cache must obey the identical swap semantics (a PUT drops
-	// the whole window store with the backend).
+	// Run the same contract over both cache backends: the skeleton
+	// family store must obey the identical swap semantics (a PUT drops
+	// the whole family store with the backend).
 	for _, opts := range []struct {
 		name string
 		pool service.Options
 	}{
 		{"exact-cache", service.Options{}},
-		{"window-cache", service.Options{WindowCache: true}},
+		{"skeleton-cache", service.Options{SkeletonCache: true}},
 	} {
 		t.Run(opts.name, func(t *testing.T) {
 			raceScheduleSwapAtomicity(t, opts.pool)
@@ -269,10 +269,10 @@ func raceScheduleSwapAtomicity(t *testing.T, poolOpts service.Options) {
 		}
 	}()
 
-	// Departure times vary per request: with the window cache enabled,
-	// cross-time hits serve most of them (the doors have no checkpoints,
-	// so one search covers nearly the whole day), and every served
-	// answer must still reflect a fully-applied schedule set.
+	// Departure times vary per request: with the skeleton store enabled,
+	// compositions serve most of them (the doors have no checkpoints, so
+	// one family covers the whole day), and every served answer must
+	// still reflect a fully-applied schedule set.
 	ats := []string{"12:00", "9:30", "15:45", "3:10", "21:05"}
 	var routers sync.WaitGroup
 	for w := 0; w < 6; w++ {
@@ -365,7 +365,7 @@ func TestRaceStatszConsistent(t *testing.T) {
 				return
 			}
 			lastQueries = st.Queries
-			if st.CacheHits+st.WindowHits+st.SkeletonHits+st.CacheMisses()+st.Deduped != st.Queries {
+			if st.CacheHits+st.SkeletonHits+st.CacheMisses()+st.Deduped != st.Queries {
 				errc <- fmt.Errorf("statsz does not partition: %+v", st)
 				return
 			}
@@ -406,9 +406,9 @@ func TestRaceStatszConsistent(t *testing.T) {
 	if st.Queries != sent.Load() {
 		t.Fatalf("statsz queries = %d, want %d", st.Queries, sent.Load())
 	}
-	if st.CacheHits+st.WindowHits+st.CacheMisses() != st.Queries {
-		t.Fatalf("hits %d + windowHits %d + misses %d != queries %d",
-			st.CacheHits, st.WindowHits, st.CacheMisses(), st.Queries)
+	if st.CacheHits+st.CacheMisses() != st.Queries {
+		t.Fatalf("hits %d + misses %d != queries %d",
+			st.CacheHits, st.CacheMisses(), st.Queries)
 	}
 	if st.CacheHits == 0 {
 		t.Fatal("traffic with only 24 distinct queries should produce cache hits")
@@ -420,7 +420,7 @@ func TestRaceStatszConsistent(t *testing.T) {
 
 // TestRaceStatszCoalesced re-runs the counter-consistency hammer with
 // the standing coalescer in front of the pools: the /statsz partition
-// invariant (hits + window hits + misses + deduped == queries) must
+// invariant (hits + misses + deduped == queries) must
 // keep holding when SharedBatch dedup and coalesced flushes combine,
 // no request may be double-counted (a deduped member of a coalesced
 // flush is one query, not two), and the coalescer's own counters must
@@ -445,7 +445,7 @@ func TestRaceStatszCoalesced(t *testing.T) {
 
 	checkSnapshot := func(sr *StatsResponse) error {
 		st := sr.Venues["hospital"].Methods["asyn"]
-		if st.CacheHits+st.WindowHits+st.CacheMisses()+st.Deduped != st.Queries {
+		if st.CacheHits+st.CacheMisses()+st.Deduped != st.Queries {
 			return fmt.Errorf("statsz does not partition: %+v", st)
 		}
 		if st.CacheMisses() < 0 {

@@ -9,7 +9,7 @@
 //	GET  /buildz                        build provenance (VCS revision, go version, start time)
 //	GET  /statsz                        per-venue, per-method pool counters
 //	GET  /loadz                         windowed (10s/1m/5m) load signals per venue/method
-//	GET  /cachez                        cache occupancy, hot pairs, window coverage, engine effort
+//	GET  /cachez                        cache occupancy, hot pairs, family coverage, engine effort
 //	GET  /metricsz                      the same counters in Prometheus text format
 //	GET  /v1/venues                     venue listing
 //	POST /v1/venues                     hot venue reload (preset / JSON dir)
@@ -482,7 +482,6 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request, ve *Ve
 		out.Cache = BatchCacheDoc{
 			Queries:       sum.Queries,
 			ExactHits:     sum.ExactHits,
-			WindowHits:    sum.WindowHits,
 			SkeletonHits:  sum.SkeletonHits,
 			Searches:      sum.Searches,
 			SharedRuns:    sum.SharedRuns,

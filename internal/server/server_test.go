@@ -765,11 +765,12 @@ func TestLoadDir(t *testing.T) {
 	}
 }
 
-// newWindowTestServer boots the hospital/office registry with the
-// validity-window cache enabled on every pool.
-func newWindowTestServer(t testing.TB, opts Options) (*httptest.Server, *Registry) {
+// newTieredTestServer boots the hospital/office registry with the
+// skeleton-family store enabled on every pool. One batch worker keeps
+// a batch's build-then-compose order deterministic.
+func newTieredTestServer(t testing.TB, opts Options) (*httptest.Server, *Registry) {
 	t.Helper()
-	reg := NewRegistry(service.Options{WindowCache: true})
+	reg := NewRegistry(service.Options{Workers: 1, SkeletonCache: true})
 	if _, err := reg.AddPresets("hospital,office"); err != nil {
 		t.Fatal(err)
 	}
@@ -778,61 +779,57 @@ func newWindowTestServer(t testing.TB, opts Options) (*httptest.Server, *Registr
 	return ts, reg
 }
 
-// TestRouteHitProvenance walks one query family through all three
-// provenance values on a window-enabled server: engine search, then a
-// cross-time window hit (byte-identical to a fresh engine run at the
-// shifted departure), then an exact hit on the identical repeat.
+// TestRouteHitProvenance walks one query family through every
+// provenance value on a skeleton-enabled server: engine searches (the
+// second, a repeat miss of the pair, builds its family), then a
+// composition at a shifted departure (byte-identical to a fresh engine
+// run), then an exact hit on the identical repeat.
 func TestRouteHitProvenance(t *testing.T) {
-	ts, reg := newWindowTestServer(t, Options{})
+	ts, reg := newTieredTestServer(t, Options{})
 	url := ts.URL + "/v1/venues/hospital/route"
-
-	_, raw1 := postJSON(t, url, RouteRequest{From: &erCentre, To: &wardCentre, At: "11:00"})
-	var r1 RouteResponse
-	decodeInto(t, raw1, &r1)
-	if r1.Hit != "miss" || r1.CacheHit {
-		t.Fatalf("first request: hit=%q cache_hit=%v, want miss: %s", r1.Hit, r1.CacheHit, raw1)
+	route := func(at string) (RouteResponse, []byte) {
+		t.Helper()
+		_, raw := postJSON(t, url, RouteRequest{From: &erCentre, To: &wardCentre, At: at})
+		var r RouteResponse
+		decodeInto(t, raw, &r)
+		return r, raw
 	}
 
-	// 11:20 sits in the same visiting-hours slot: a window hit.
-	_, raw2 := postJSON(t, url, RouteRequest{From: &erCentre, To: &wardCentre, At: "11:20"})
-	var r2 RouteResponse
-	decodeInto(t, raw2, &r2)
-	if r2.Hit != "window" || !r2.CacheHit {
-		t.Fatalf("shifted request: hit=%q cache_hit=%v, want window: %s", r2.Hit, r2.CacheHit, raw2)
+	for _, at := range []string{"11:00", "11:20"} {
+		if r, raw := route(at); r.Hit != "miss" || r.CacheHit || r.Explain != "window_family_absent" {
+			t.Fatalf("%s request: hit=%q cache_hit=%v explain=%q, want a window_family_absent miss: %s",
+				at, r.Hit, r.CacheHit, r.Explain, raw)
+		}
+	}
+
+	// 11:40 sits in the same visiting-hours slot: a composition.
+	r3, raw3 := route("11:40")
+	if r3.Hit != "skeleton" || !r3.CacheHit || r3.Explain != "" {
+		t.Fatalf("shifted request: hit=%q cache_hit=%v, want skeleton: %s", r3.Hit, r3.CacheHit, raw3)
 	}
 	ve, _ := reg.Get("hospital")
 	want, _, err := core.NewEngine(ve.Graph(), core.Options{Method: core.MethodAsyn}).Route(core.Query{
-		Source: erCentre.point(), Target: wardCentre.point(), At: temporal.Clock(11, 20, 0),
+		Source: erCentre.point(), Target: wardCentre.point(), At: temporal.Clock(11, 40, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertPathEqual(t, ve, want, r2.Path)
-	if r2.Path.ArriveSec != float64(want.ArrivalAtTgt) || r2.Path.DepartSec != float64(want.DepartedAt) {
-		t.Fatalf("window answer times %v/%v differ from engine %v/%v",
-			r2.Path.DepartSec, r2.Path.ArriveSec, want.DepartedAt, want.ArrivalAtTgt)
+	assertPathEqual(t, ve, want, r3.Path)
+	if r3.Path.ArriveSec != float64(want.ArrivalAtTgt) || r3.Path.DepartSec != float64(want.DepartedAt) {
+		t.Fatalf("skeleton answer times %v/%v differ from engine %v/%v",
+			r3.Path.DepartSec, r3.Path.ArriveSec, want.DepartedAt, want.ArrivalAtTgt)
 	}
 
-	// The engine-computed original repeats as an exact hit; the shifted
-	// departure keeps serving from the window store (no promotion).
-	_, raw3 := postJSON(t, url, RouteRequest{From: &erCentre, To: &wardCentre, At: "11:00"})
-	var r3 RouteResponse
-	decodeInto(t, raw3, &r3)
-	if r3.Hit != "exact" || !r3.CacheHit {
-		t.Fatalf("repeat request: hit=%q, want exact: %s", r3.Hit, raw3)
-	}
-	_, raw4 := postJSON(t, url, RouteRequest{From: &erCentre, To: &wardCentre, At: "11:20"})
-	var r4 RouteResponse
-	decodeInto(t, raw4, &r4)
-	if r4.Hit != "window" {
-		t.Fatalf("repeated shifted request: hit=%q, want window: %s", r4.Hit, raw4)
+	// The engine-computed original repeats as an exact hit.
+	if r, raw := route("11:00"); r.Hit != "exact" || !r.CacheHit {
+		t.Fatalf("repeat request: hit=%q, want exact: %s", r.Hit, raw)
 	}
 
 	// /statsz reflects the provenance split.
 	var sr StatsResponse
 	getJSON(t, ts.URL+"/statsz", &sr)
 	asyn := sr.Venues["hospital"].Methods["asyn"]
-	if asyn.Queries != 4 || asyn.CacheHits != 1 || asyn.WindowHits != 2 || asyn.CacheMisses() != 1 {
+	if asyn.Queries != 4 || asyn.CacheHits != 1 || asyn.SkeletonHits != 1 || asyn.CacheMisses() != 2 || asyn.FamilyBuilds != 1 {
 		t.Fatalf("asyn stats = %+v", asyn)
 	}
 }
@@ -841,9 +838,9 @@ func TestRouteHitProvenance(t *testing.T) {
 // reports the cache summary the CLI prints, and the counts partition
 // the batch.
 func TestBatchCacheSummary(t *testing.T) {
-	ts, _ := newWindowTestServer(t, Options{})
+	ts, _ := newTieredTestServer(t, Options{})
 	var req BatchRequest
-	for min := 0; min < 110; min += 10 { // 10:00..11:50, inside one slot
+	for min := 0; min < 110; min += 10 { // 10:00..11:40, inside one slot
 		req.Queries = append(req.Queries, RouteRequest{
 			From: &erCentre, To: &wardCentre, At: temporal.Clock(10, min, 0).String(),
 		})
@@ -859,18 +856,17 @@ func TestBatchCacheSummary(t *testing.T) {
 	if c.Queries != len(req.Queries) {
 		t.Fatalf("cache.queries = %d, want %d", c.Queries, len(req.Queries))
 	}
-	deduped := c.Queries - c.ExactHits - c.WindowHits - c.Searches
-	if deduped < 1 {
+	deduped := c.Queries - c.ExactHits - c.SkeletonHits - c.Searches
+	if deduped != 1 {
 		t.Fatalf("summary does not account for the duplicate: %+v", c)
 	}
-	if c.WindowHits == 0 {
-		t.Fatalf("one-slot sweep produced no window hits: %+v", c)
-	}
-	if c.Searches >= len(req.Queries)-1 {
-		t.Fatalf("sweep did not reuse searches: %+v", c)
+	// One worker: 10:00 records the pair's miss, 10:10 builds its
+	// family, and the other nine departures compose.
+	if c.Searches != 2 || c.SkeletonHits != 9 {
+		t.Fatalf("one-slot sweep summary = %+v, want 2 searches and 9 skeleton hits", c)
 	}
 	// Per-result provenance agrees with the summary.
-	var exact, window, searches int
+	var exact, skeleton, searches int
 	for _, rr := range br.Results {
 		if rr.Shared {
 			continue
@@ -878,23 +874,24 @@ func TestBatchCacheSummary(t *testing.T) {
 		switch rr.Hit {
 		case "exact":
 			exact++
-		case "window":
-			window++
+		case "skeleton":
+			skeleton++
 		default:
 			searches++
 		}
 	}
-	if exact != c.ExactHits || window != c.WindowHits || searches != c.Searches {
-		t.Fatalf("summary %+v does not match per-result provenance %d/%d/%d", c, exact, window, searches)
+	if exact != c.ExactHits || skeleton != c.SkeletonHits || searches != c.Searches {
+		t.Fatalf("summary %+v does not match per-result provenance %d/%d/%d", c, exact, skeleton, searches)
 	}
 }
 
 // TestMetricsz checks the Prometheus text endpoint: content type, HELP/
 // TYPE headers, per-(venue, method) series, and counter movement.
 func TestMetricsz(t *testing.T) {
-	ts, _ := newWindowTestServer(t, Options{})
-	postJSON(t, ts.URL+"/v1/venues/hospital/route", RouteRequest{From: &erCentre, To: &wardCentre, At: "11:00"})
-	postJSON(t, ts.URL+"/v1/venues/hospital/route", RouteRequest{From: &erCentre, To: &wardCentre, At: "11:30"})
+	ts, _ := newTieredTestServer(t, Options{})
+	for _, at := range []string{"11:00", "11:30", "11:45"} {
+		postJSON(t, ts.URL+"/v1/venues/hospital/route", RouteRequest{From: &erCentre, To: &wardCentre, At: at})
+	}
 
 	resp, raw := doJSON(t, http.MethodGet, ts.URL+"/metricsz", nil)
 	if resp.StatusCode != http.StatusOK {
@@ -906,14 +903,15 @@ func TestMetricsz(t *testing.T) {
 	body := string(raw)
 	for _, want := range []string{
 		"# TYPE indoorpath_pool_queries_total counter",
-		"# TYPE indoorpath_pool_window_hits_total counter",
+		"# TYPE indoorpath_pool_skeleton_hits_total counter",
 		"# TYPE indoorpath_pool_epoch gauge",
 		"# HELP indoorpath_pool_engine_searches_total",
 		"indoorpath_venues 2",
 		`indoorpath_venue_epoch{venue="hospital"} 0`,
-		`indoorpath_pool_queries_total{venue="hospital",method="asyn"} 2`,
-		`indoorpath_pool_window_hits_total{venue="hospital",method="asyn"} 1`,
-		`indoorpath_pool_engine_searches_total{venue="hospital",method="asyn"} 1`,
+		`indoorpath_pool_queries_total{venue="hospital",method="asyn"} 3`,
+		`indoorpath_pool_skeleton_hits_total{venue="hospital",method="asyn"} 1`,
+		`indoorpath_pool_engine_searches_total{venue="hospital",method="asyn"} 2`,
+		`indoorpath_pool_family_builds_total{venue="hospital",method="asyn"} 1`,
 		"# TYPE indoorpath_pool_shared_runs_total counter",
 		`indoorpath_pool_shared_runs_total{venue="hospital",method="asyn"} 0`,
 		`indoorpath_pool_shared_answers_total{venue="hospital",method="asyn"} 0`,
@@ -922,6 +920,9 @@ func TestMetricsz(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metricsz missing %q:\n%s", want, body)
 		}
+	}
+	if strings.Contains(body, "window_hit") || strings.Contains(body, "indoorpath_window_") {
+		t.Fatalf("metricsz still exports window-tier series:\n%s", body)
 	}
 	// Two scrapes are deterministic byte-for-byte when idle.
 	_, raw2 := doJSON(t, http.MethodGet, ts.URL+"/metricsz", nil)

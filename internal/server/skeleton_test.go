@@ -70,7 +70,7 @@ func TestSkeletonServerEndToEnd(t *testing.T) {
 	if st.SkeletonHits != 1 {
 		t.Fatalf("statsz skeleton_hits = %d, want 1 (%+v)", st.SkeletonHits, st)
 	}
-	if st.CacheHits+st.WindowHits+st.SkeletonHits+st.Deduped+st.CacheMisses() != st.Queries {
+	if st.CacheHits+st.SkeletonHits+st.Deduped+st.CacheMisses() != st.Queries {
 		t.Fatalf("statsz partition broken: %+v", st)
 	}
 
@@ -82,7 +82,7 @@ func TestSkeletonServerEndToEnd(t *testing.T) {
 	if ld.SkeletonHits != 1 || ld.SkeletonHitRate <= 0 {
 		t.Fatalf("loadz skeleton hits = %d rate = %v, want 1 and > 0", ld.SkeletonHits, ld.SkeletonHitRate)
 	}
-	if ld.ExactHits+ld.WindowHits+ld.SkeletonHits+ld.Deduped > ld.Queries {
+	if ld.ExactHits+ld.SkeletonHits+ld.Deduped > ld.Queries {
 		t.Fatalf("loadz partition broken: %+v", ld)
 	}
 
@@ -154,7 +154,7 @@ func TestSkeletonBatchWire(t *testing.T) {
 	if c.SkeletonHits == 0 {
 		t.Fatalf("batch composed nothing: %+v", c)
 	}
-	if got := c.ExactHits + c.WindowHits + c.SkeletonHits + c.SharedAnswers + (c.Searches - c.SharedRuns); got > c.Queries {
+	if got := c.ExactHits + c.SkeletonHits + c.SharedAnswers + (c.Searches - c.SharedRuns); got > c.Queries {
 		t.Fatalf("batch summary partition broken: %+v", c)
 	}
 	if 2*c.Searches > c.Queries {
@@ -201,7 +201,7 @@ func TestRaceStatszSkeleton(t *testing.T) {
 				continue
 			}
 			st := sr.Venues["hospital"].Methods["asyn"]
-			if st.CacheHits+st.WindowHits+st.SkeletonHits+st.CacheMisses()+st.Deduped != st.Queries {
+			if st.CacheHits+st.SkeletonHits+st.CacheMisses()+st.Deduped != st.Queries {
 				errc <- fmt.Errorf("statsz does not partition: %+v", st)
 				return
 			}
@@ -252,7 +252,7 @@ func TestRaceStatszSkeleton(t *testing.T) {
 	if st.SkeletonHits == 0 {
 		t.Fatalf("hammer produced no skeleton hits: %+v", st)
 	}
-	if st.CacheHits+st.WindowHits+st.SkeletonHits+st.CacheMisses()+st.Deduped != st.Queries {
+	if st.CacheHits+st.SkeletonHits+st.CacheMisses()+st.Deduped != st.Queries {
 		t.Fatalf("final statsz does not partition: %+v", st)
 	}
 }
@@ -307,7 +307,7 @@ func TestFamilyBuildsOnTheWire(t *testing.T) {
 	if st.FamilyBuilds != 1 || st.Queries != 2 || st.EngineSearches != 2 {
 		t.Fatalf("statsz families_built %d queries %d engine_searches %d, want 1 2 2", st.FamilyBuilds, st.Queries, st.EngineSearches)
 	}
-	if st.CacheHits+st.WindowHits+st.SkeletonHits+st.Deduped+st.CacheMisses() != st.Queries {
+	if st.CacheHits+st.SkeletonHits+st.Deduped+st.CacheMisses() != st.Queries {
 		t.Fatalf("statsz partition broken: %+v", st)
 	}
 	_, mraw := doJSON(t, http.MethodGet, ts.URL+"/metricsz", nil)

@@ -111,11 +111,10 @@ type RouteResponse struct {
 	// the waiting method, which has no comparable counters.
 	Stats *core.SearchStats `json:"stats,omitempty"`
 	// CacheHit marks outcomes served from a pool result cache (exact
-	// or validity-window).
+	// or skeleton).
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// Hit is the outcome's cache provenance: "miss" (engine search),
-	// "exact" (exact-identity cache), "window" (validity-window cache,
-	// arrivals recomputed for this departure) or "skeleton" (answer
+	// "exact" (exact-identity cache) or "skeleton" (answer
 	// composed from the OD pair's door-to-door skeleton family — no
 	// stored answer for these exact points existed; itspqd
 	// -skeleton-cache). Absent for the waiting method, which has no
@@ -134,11 +133,12 @@ type RouteResponse struct {
 	// with concurrently arriving ones.
 	Coalesced bool `json:"coalesced,omitempty"`
 	// Explain is the decision provenance of a cache miss — why no
-	// cache could answer: "no_exact_entry", "window_family_absent",
-	// "outside_windows", "skeleton_uncertified" (a skeleton family
-	// covered the departure but could not certify a composition for
-	// these exact points), "epoch_raced" or "uncacheable" (the
-	// obs.Reason vocabulary). Absent on hits and on deduped copies.
+	// cache could answer: "no_exact_entry", "window_family_absent" (no
+	// skeleton family stored for the pair), "outside_windows" (families
+	// stored, none for this departure's slot), "skeleton_uncertified"
+	// (a skeleton family covered the departure but could not certify a
+	// composition for these exact points), "epoch_raced" or
+	// "uncacheable" (the obs.Reason vocabulary). Absent on hits and on deduped copies.
 	Explain string    `json:"explain,omitempty"`
 	Error   *ErrorDoc `json:"error,omitempty"`
 	// Trace is the request's span trace, present only when the
@@ -152,12 +152,11 @@ type RouteResponse struct {
 // cmd/itspq prints as its sweep summary line. Searches counts engine
 // runs actually executed: with the shared-execution planner one run
 // can answer a whole group, so SharedAnswers entries share SharedRuns
-// of those runs, and Queries = ExactHits + WindowHits + SkeletonHits +
+// of those runs, and Queries = ExactHits + SkeletonHits +
 // SharedAnswers + (Searches - SharedRuns) + deduplicated entries.
 type BatchCacheDoc struct {
-	Queries    int `json:"queries"`
-	ExactHits  int `json:"exact_hits"`
-	WindowHits int `json:"window_hits"`
+	Queries   int `json:"queries"`
+	ExactHits int `json:"exact_hits"`
 	// SkeletonHits counts entries composed from a stored skeleton
 	// family (itspqd -skeleton-cache); omitted while zero so the wire
 	// is unchanged with the store off.
@@ -396,7 +395,7 @@ type TracezResponse struct {
 // LoadWindowDoc is one trailing-window view of a pool's rolling load
 // signals: raw totals over the window plus the derived rates the
 // adaptive policies steer by. Within any single doc the partition
-// ExactHits+WindowHits+SkeletonHits+Deduped <= Queries holds (the
+// ExactHits+SkeletonHits+Deduped <= Queries holds (the
 // load ring's feed/read ordering guarantees it even mid-rotation).
 type LoadWindowDoc struct {
 	// WindowSec is the trailing span this view covers (10, 60, 300).
@@ -405,7 +404,6 @@ type LoadWindowDoc struct {
 	// Raw totals over the window.
 	Queries        int64 `json:"queries"`
 	ExactHits      int64 `json:"exact_hits"`
-	WindowHits     int64 `json:"window_hits"`
 	SkeletonHits   int64 `json:"skeleton_hits"`
 	Deduped        int64 `json:"deduped"`
 	SharedAnswers  int64 `json:"shared_answers"`
@@ -416,7 +414,6 @@ type LoadWindowDoc struct {
 	// Derived rates (0 when the denominator is 0).
 	ArrivalPerSec    float64 `json:"arrival_per_sec"`    // Queries / WindowSec
 	ExactHitRate     float64 `json:"exact_hit_rate"`     // ExactHits / Queries
-	WindowHitRate    float64 `json:"window_hit_rate"`    // WindowHits / Queries
 	SkeletonHitRate  float64 `json:"skeleton_hit_rate"`  // SkeletonHits / Queries
 	Shareability     float64 `json:"shareability"`       // (Deduped+SharedAnswers) / Queries
 	SearchesPerQuery float64 `json:"searches_per_query"` // EngineSearches / Queries
@@ -445,9 +442,9 @@ type LoadzResponse struct {
 }
 
 // CachezResponse is the body of GET /cachez: per venue and method, the
-// cache-introspection view — exact-cache and window-store occupancy vs
-// capacity with eviction counters, per-OD-pair window counts and day
-// coverage, the space-saving top-K pair table, and the per-search
+// cache-introspection view — exact-cache and skeleton-store occupancy
+// vs capacity with eviction counters, per-OD-pair family counts and
+// day coverage, the space-saving top-K pair table, and the per-search
 // engine-effort histograms. Each venue/method doc is gathered in one
 // pass ordered so its invariants hold under racing traffic (top-K
 // before the query counter; see CacheMethodDoc.Queries).
@@ -457,8 +454,9 @@ type CachezResponse struct {
 
 // CacheMethodDoc is one (venue, method) pool's cache introspection.
 type CacheMethodDoc struct {
-	Exact  CacheOccupancyDoc `json:"exact"`
-	Window WindowStoreDoc    `json:"window"`
+	Exact CacheOccupancyDoc `json:"exact"`
+	// Deprecated: the window tier was removed; kept only so servebench compiles.
+	Window struct{ Windows int64 } `json:"-"`
 	// Skeleton is the door-to-door skeleton-family store's view; all
 	// zero (and Pairs empty) when -skeleton-cache is off.
 	Skeleton SkeletonStoreDoc `json:"skeleton"`
@@ -485,29 +483,14 @@ type CacheOccupancyDoc struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// WindowStoreDoc is the validity-window store's occupancy, pressure
-// and per-pair coverage map.
-type WindowStoreDoc struct {
-	Windows   int64 `json:"windows"`
-	Capacity  int64 `json:"capacity"`
-	Evictions int64 `json:"evictions"`
-	// Pairs lists per-OD-pair window counts and day coverage, most
-	// windows first, capped at maxWindowPairs rows; PairsTotal counts
-	// all pairs before the cap so truncation is never silent.
-	Pairs      []WindowPairDoc `json:"pairs,omitempty"`
-	PairsTotal int             `json:"pairs_total"`
-}
-
 // SkeletonStoreDoc is the skeleton-family store's occupancy, pressure
-// and per-pair coverage map. The store shares the window store's
-// capacity value but its family budget is accounted independently, so
-// Families <= Capacity in every body.
+// and per-pair coverage map. Families <= Capacity in every body.
 type SkeletonStoreDoc struct {
 	Families  int64 `json:"families"`
 	Capacity  int64 `json:"capacity"`
 	Evictions int64 `json:"evictions"`
 	// Pairs lists per-OD-pair family occupancy and day coverage, most
-	// chains first, capped at maxWindowPairs rows; PairsTotal counts
+	// chains first, capped at maxCoveragePairs rows; PairsTotal counts
 	// all pairs before the cap so truncation is never silent.
 	Pairs      []SkeletonPairDoc `json:"pairs,omitempty"`
 	PairsTotal int               `json:"pairs_total"`
@@ -527,21 +510,6 @@ type SkeletonPairDoc struct {
 	DayCoverage float64 `json:"day_coverage"`
 }
 
-// WindowPairDoc is one OD pair's stored-window summary.
-type WindowPairDoc struct {
-	Src string `json:"src"`
-	Tgt string `json:"tgt"`
-	// Families counts distinct endpoint (source point, target point,
-	// speed) triples holding windows for the pair.
-	Families int `json:"families"`
-	Windows  int `json:"windows"`
-	// DayCoverage is the mean share of the 24h departure axis the
-	// pair's endpoint families can answer without an engine: summed
-	// stored-window seconds / (Families * 86400). Windows within one
-	// family are disjoint, so the value never exceeds 1.
-	DayCoverage float64 `json:"day_coverage"`
-}
-
 // HotPairDoc is one row of the top-K pair table, partition IDs
 // resolved to names.
 type HotPairDoc struct {
@@ -549,7 +517,6 @@ type HotPairDoc struct {
 	Tgt            string `json:"tgt"`
 	Queries        int64  `json:"queries"`
 	ExactHits      int64  `json:"exact_hits"`
-	WindowHits     int64  `json:"window_hits"`
 	SkeletonHits   int64  `json:"skeleton_hits"`
 	Deduped        int64  `json:"deduped"`
 	EngineSearches int64  `json:"engine_searches"`
@@ -558,12 +525,11 @@ type HotPairDoc struct {
 	Effort int64 `json:"effort"`
 	// ErrBound is the space-saving overestimate bound: Queries exceeds
 	// the pair's true count by at most this much (0 = exact).
-	ErrBound      int64   `json:"err_bound"`
-	ExactHitRate  float64 `json:"exact_hit_rate"`
-	WindowHitRate float64 `json:"window_hit_rate"`
-	// DayCoverage is the pair's window-store day coverage (see
-	// WindowPairDoc), 0 when the window cache is off or holds nothing
-	// for the pair.
+	ErrBound     int64   `json:"err_bound"`
+	ExactHitRate float64 `json:"exact_hit_rate"`
+	// DayCoverage is the pair's skeleton-store day coverage (see
+	// SkeletonPairDoc), 0 when the skeleton cache is off or holds
+	// nothing for the pair.
 	DayCoverage float64 `json:"day_coverage"`
 }
 

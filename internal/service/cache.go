@@ -196,27 +196,37 @@ func (c *resultCache) usage() (size, capacity int, evicted int64) {
 
 // missEvidence is the skeleton layer's build policy: the bounded set
 // of family keys — (source partition, target partition, family slot) —
-// that already missed once under the current backend. A family costs
-// one frozen-topology Dijkstra per entry door and pays off only when
-// its pair repeats in its slot, so a miss builds only on repeat
-// evidence: its key is already recorded here, or it belongs to a
-// jittered SharedPartition wave (routePartitionGroup records the key
-// for the wave up front). It lives on poolBackend, so a graph swap
-// drops it together with the stores it feeds. The zero value is ready
-// to use.
+// that already missed once under the current backend, plus the keys
+// whose family build is in flight. A family costs one frozen-topology
+// Dijkstra per entry door and pays off only when its pair repeats in
+// its slot, so a miss builds only on repeat evidence: its key is
+// already recorded here, or it belongs to a jittered SharedPartition
+// wave (routePartitionGroup records the key for the wave up front).
+// At most one build per key runs at a time: concurrent repeat misses
+// of a key under construction skip the build rather than repeat it,
+// and lookups of the key wait for it (pending) rather than search. It
+// lives on poolBackend, so a graph swap drops it together with the
+// store it feeds. The zero value is ready to use.
 type missEvidence struct {
 	mu   sync.Mutex
 	seen map[cacheKey]struct{}
+	// building maps each key with a build in flight to a channel
+	// closed when that build returns.
+	building map[cacheKey]chan struct{}
 }
 
-// missEvidenceCapacity bounds missEvidence. A full set starts over,
-// which costs each pair in it at most one more unbuilt miss.
+// missEvidenceCapacity bounds the recorded keys. A full set starts
+// over, which costs each pair in it at most one more unbuilt miss.
 const missEvidenceCapacity = 1024
 
 // repeat records k and reports whether it was already recorded.
 func (m *missEvidence) repeat(k cacheKey) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.repeatLocked(k)
+}
+
+func (m *missEvidence) repeatLocked(k cacheKey) bool {
 	if _, ok := m.seen[k]; ok {
 		return true
 	}
@@ -227,4 +237,45 @@ func (m *missEvidence) repeat(k cacheKey) bool {
 	}
 	m.seen[k] = struct{}{}
 	return false
+}
+
+// claimBuild records k and reports whether the caller should build its
+// family now: k was already recorded and no build of k is in flight. A
+// true return marks the build in flight; the caller must call endBuild
+// once the build returns, whether or not it produced a family.
+func (m *missEvidence) claimBuild(k cacheKey) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.repeatLocked(k) {
+		return false
+	}
+	if _, busy := m.building[k]; busy {
+		return false
+	}
+	if m.building == nil {
+		m.building = make(map[cacheKey]chan struct{})
+	}
+	m.building[k] = make(chan struct{})
+	return true
+}
+
+// endBuild clears k's in-flight mark and releases its waiters.
+func (m *missEvidence) endBuild(k cacheKey) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if done, ok := m.building[k]; ok {
+		close(done)
+		delete(m.building, k)
+	}
+}
+
+// pending returns a channel closed when k's in-flight build returns,
+// or nil when no build of k is in flight.
+func (m *missEvidence) pending(k cacheKey) <-chan struct{} {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if done, ok := m.building[k]; ok {
+		return done
+	}
+	return nil
 }

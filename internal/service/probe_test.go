@@ -25,7 +25,6 @@ func probeBooksOf(p *Pool) probeBooks {
 	for _, pc := range p.HotPairs() {
 		b.pairs.Queries += pc.Queries
 		b.pairs.ExactHits += pc.ExactHits
-		b.pairs.WindowHits += pc.WindowHits
 		b.pairs.SkeletonHits += pc.SkeletonHits
 		b.pairs.EngineSearches += pc.EngineSearches
 	}
@@ -35,7 +34,7 @@ func probeBooksOf(p *Pool) probeBooks {
 }
 
 // TestPoolProbeBooking pins Pool.Probe's accounting: a miss books
-// nothing anywhere, and a hit of each tier — exact, window, skeleton —
+// nothing anywhere, and a hit of each tier — exact, skeleton —
 // books exactly one query and one hit of that tier into the pool
 // counters, the load ring and the hot-pair table, runs no engine and
 // answers exactly what a fresh search would.
@@ -50,7 +49,7 @@ func TestPoolProbeBooking(t *testing.T) {
 	b.ConnectBi(side, hall, room)
 	g := itgraph.MustNew(b.MustBuild())
 	opts := core.Options{Method: core.MethodSyn}
-	pool := New(g, Options{Engine: opts, WindowCache: true, SkeletonCache: true})
+	pool := New(g, Options{Engine: opts, SkeletonCache: true})
 	seq := core.NewEngine(g, opts)
 
 	// Endpoint pair k of the one hall -> room partition pair.
@@ -82,11 +81,11 @@ func TestPoolProbeBooking(t *testing.T) {
 			t.Fatalf("%s: probe answer differs from a fresh search (err %v)", step, err)
 		}
 		after := probeBooksOf(pool)
-		var tiers [3]int64 // exact, window, skeleton deltas
-		tiers[0] = after.stats.CacheHits - before.stats.CacheHits
-		tiers[1] = after.stats.WindowHits - before.stats.WindowHits
-		tiers[2] = after.stats.SkeletonHits - before.stats.SkeletonHits
-		wantTiers := map[Hit][3]int64{HitExact: {1, 0, 0}, HitWindow: {0, 1, 0}, HitSkeleton: {0, 0, 1}}[want]
+		tiers := [2]int64{ // exact, skeleton deltas
+			after.stats.CacheHits - before.stats.CacheHits,
+			after.stats.SkeletonHits - before.stats.SkeletonHits,
+		}
+		wantTiers := map[Hit][2]int64{HitExact: {1, 0}, HitSkeleton: {0, 1}}[want]
 		if after.stats.Queries-before.stats.Queries != 1 || tiers != wantTiers ||
 			after.stats.EngineSearches != before.stats.EngineSearches ||
 			after.stats.FamilyBuilds != before.stats.FamilyBuilds ||
@@ -94,17 +93,15 @@ func TestPoolProbeBooking(t *testing.T) {
 			after.stats.Reasons != before.stats.Reasons {
 			t.Fatalf("%s: pool booked %+v -> %+v, want one query and one %q hit", step, before.stats, after.stats, want)
 		}
-		loadTiers := [3]int64{
+		loadTiers := [2]int64{
 			after.load.ExactHits - before.load.ExactHits,
-			after.load.WindowHits - before.load.WindowHits,
 			after.load.SkeletonHits - before.load.SkeletonHits,
 		}
 		if after.load.Queries-before.load.Queries != 1 || loadTiers != wantTiers {
 			t.Fatalf("%s: load ring booked %+v -> %+v", step, before.load, after.load)
 		}
-		pairTiers := [3]int64{
+		pairTiers := [2]int64{
 			after.pairs.ExactHits - before.pairs.ExactHits,
-			after.pairs.WindowHits - before.pairs.WindowHits,
 			after.pairs.SkeletonHits - before.pairs.SkeletonHits,
 		}
 		if after.pairs.Queries-before.pairs.Queries != 1 || pairTiers != wantTiers ||
@@ -114,17 +111,18 @@ func TestPoolProbeBooking(t *testing.T) {
 	}
 
 	miss("empty pool", query(0, noon))
-	pool.RouteResult(query(0, noon)) // stores the exact entry and a point window
+	pool.RouteResult(query(0, noon)) // stores the exact entry, records the pair's miss
 	hit("exact", query(0, noon), HitExact)
-	hit("window", query(0, noon+1800), HitWindow)
+	miss("shifted departure, no family yet", query(0, noon+1800))
 	miss("other endpoints, no family yet", query(1, noon))
 	pool.RouteResult(query(1, noon)) // the pair's repeat miss builds its family
 	hit("skeleton", query(2, noon), HitSkeleton)
+	hit("skeleton, shifted departure", query(0, noon+1800), HitSkeleton)
 	miss("uncacheable", core.Query{Source: geom.Pt(-5, -5, 0), Target: geom.Pt(15, 5, 0), At: noon})
 
 	// The partition still closes over probe-booked traffic.
 	st := pool.Stats()
-	if st.CacheHits+st.WindowHits+st.SkeletonHits+st.CacheMisses()+st.Deduped != st.Queries || st.CacheMisses() != 2 {
+	if st.CacheHits+st.SkeletonHits+st.CacheMisses()+st.Deduped != st.Queries || st.CacheMisses() != 2 {
 		t.Fatalf("stats do not partition into 3 probe hits and 2 misses: %+v", st)
 	}
 }

@@ -216,9 +216,9 @@ func TestRaceScheduleSwapDuringRoutes(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRaceWindowPoolSweepByteIdentical is the window cache's oracle
-// bar under concurrency: goroutines sweep departure times through one
-// window-cache pool while another goroutine swaps schedules between
+// TestRaceWindowPoolSweepByteIdentical is the family store's time-sweep
+// oracle bar under concurrency: goroutines sweep departure times through
+// one skeleton-cache pool while another goroutine swaps schedules between
 // two sets; every response must be byte-identical to a sequential
 // core.Engine answer over the pre-swap or the post-swap graph (swap
 // atomicity per response), with no third outcome.
@@ -226,7 +226,7 @@ func TestRaceWindowPoolSweepByteIdentical(t *testing.T) {
 	// Two-door venue: schedule set A opens only the near door (short
 	// path), set B only the far one (long path) — at every minute of the
 	// day the two graphs give different, precomputable answers.
-	b := model.NewBuilder("window-swap-race")
+	b := model.NewBuilder("family-swap-race")
 	hall := b.AddPartition("hall", model.PublicPartition, geom.NewRect(0, 0, 20, 10, 0))
 	room := b.AddPartition("room", model.PublicPartition, geom.NewRect(0, 10, 20, 20, 0))
 	near := b.AddDoor("near", model.PublicDoor, geom.Pt(2, 10, 0), nil)
@@ -270,7 +270,7 @@ func TestRaceWindowPoolSweepByteIdentical(t *testing.T) {
 		wantA, wantB = append(wantA, pa), append(wantB, pb)
 	}
 
-	pool := New(gA, Options{Engine: core.Options{Method: core.MethodAsyn}, WindowCache: true})
+	pool := New(gA, Options{Engine: core.Options{Method: core.MethodAsyn}, SkeletonCache: true})
 	done := make(chan struct{})
 	errc := make(chan error, 8)
 	var swapper sync.WaitGroup
@@ -327,14 +327,14 @@ func TestRaceWindowPoolSweepByteIdentical(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	if st := pool.Stats(); st.WindowHits == 0 {
-		t.Logf("note: no window hits under this interleaving (%v)", st)
+	if st := pool.Stats(); st.SkeletonHits == 0 {
+		t.Logf("note: no skeleton hits under this interleaving (%v)", st)
 	}
 
 	// Sequential epilogue: with the swaps quiesced on set A, the sweep
-	// must serve window hits and stay byte-identical.
+	// must serve skeleton hits and stay byte-identical.
 	pool.SetGraph(gA)
-	before := pool.Stats().WindowHits
+	before := pool.Stats().SkeletonHits
 	for k := range wantA {
 		q := q0
 		q.At = temporal.TimeOfDay(k * stepSec)
@@ -343,8 +343,8 @@ func TestRaceWindowPoolSweepByteIdentical(t *testing.T) {
 			t.Fatalf("epilogue departure %v (hit=%q): %v / path mismatch", q.At, r.Hit, r.Err)
 		}
 	}
-	if st := pool.Stats(); st.WindowHits <= before {
-		t.Fatalf("epilogue sweep served no window hits: %v", st)
+	if st := pool.Stats(); st.SkeletonHits <= before {
+		t.Fatalf("epilogue sweep served no skeleton hits: %v", st)
 	}
 }
 

@@ -48,25 +48,8 @@ type Options struct {
 	// CacheCapacity bounds the number of cached query outcomes.
 	// 0 means the default capacity; negative disables caching.
 	CacheCapacity int
-	// WindowCache additionally enables the validity-window temporal
-	// result cache (internal/tcache): found no-waiting paths are stored
-	// with the departure interval over which the engine's answer is
-	// provably unchanged (core.Engine.AnswerWindow), and a later query on the
-	// same endpoints and speed departing anywhere inside a stored
-	// window is answered without an engine search — doors, partitions
-	// and length from the stored answer, arrival times recomputed for
-	// the query's own departure. The exact cache (when enabled) is
-	// consulted first; window answers obey the same swap semantics (a
-	// SetGraph/UpdateSchedules swap drops the whole store) and
-	// InvalidateSlot drops windows overlapping the slot's time range.
-	// Off by default: the exact cache remains the default backend.
+	// Deprecated: the window tier was removed; kept only so servebench compiles.
 	WindowCache bool
-	// WindowCapacity bounds the number of stored validity windows:
-	// 0 means tcache.DefaultCapacity, and negative disables the window
-	// store even when WindowCache is set (mirroring CacheCapacity).
-	// SkeletonCache families share the same store and the same capacity
-	// value (budgeted independently — see tcache).
-	WindowCapacity int
 	// SkeletonCache enables the point-free skeleton layer
 	// (core.SkeletonFamily in internal/tcache): an engine miss on a
 	// (source partition, target partition) pair with repeat evidence —
@@ -78,13 +61,16 @@ type Options struct {
 	// between ANY points of the pair in the slot is answered by
 	// composing first-leg + stored chain + last-leg
 	// (core.ComposeSkeletonPath) — byte-identical to a fresh search,
-	// no engine run. Stats.FamilyBuilds counts the builds.
-	// Compositions that cannot be certified fall through to an engine
-	// with obs.ReasonSkeletonUncertified provenance. Probe order: exact
-	// cache, point windows, skeletons, engine. Families obey the same
-	// swap/invalidation semantics as windows and are disabled alongside
-	// them by a negative WindowCapacity or by the
-	// SinglePartitionExpansion ablation. Off by default.
+	// no engine run. Stats.FamilyBuilds counts the builds; at most one
+	// build per family key is in flight at a time, and queries needing
+	// that family wait for it instead of searching. Compositions that
+	// cannot be certified fall through to an engine with
+	// obs.ReasonSkeletonUncertified provenance. Probe order: exact
+	// cache, skeletons, engine. A SetGraph/UpdateSchedules swap drops
+	// the whole family store; InvalidateSlot drops the families whose
+	// slot window overlaps the slot. The store holds at most
+	// tcache.DefaultCapacity families. The SinglePartitionExpansion
+	// ablation disables the layer. Off by default.
 	SkeletonCache bool
 	// SharedBatch enables the shared-execution batch planner
 	// (internal/batchplan): RouteBatch partitions each batch into
@@ -94,7 +80,7 @@ type Options struct {
 	// and answers every group with a single engine search
 	// (core.Engine.RouteMany / RouteManyTo) instead of one per query.
 	// Per-entry answers stay byte-identical to a sequential per-query
-	// engine and still feed the exact and validity-window caches.
+	// engine and still feed the exact cache and the family store.
 	// Off by default.
 	SharedBatch bool
 }
@@ -112,10 +98,6 @@ const (
 	HitMiss Hit = "miss"
 	// HitExact: served from the exact-identity result cache.
 	HitExact Hit = "exact"
-	// HitWindow: served from the validity-window cache — the stored
-	// answer's doors and partitions with arrivals recomputed for this
-	// query's departure.
-	HitWindow Hit = "window"
 	// HitSkeleton: composed from the pair's stored skeleton family —
 	// first-leg + door-to-door chain + last-leg stitched for this
 	// query's own endpoints and departure, certified byte-identical to
@@ -130,9 +112,9 @@ type Result struct {
 	Stats core.SearchStats
 	Err   error
 	// CacheHit reports that the outcome was served from a result cache
-	// (exact, window or skeleton) rather than searched.
+	// (exact or skeleton) rather than searched.
 	CacheHit bool
-	// Hit is the outcome's provenance: HitMiss, HitExact, HitWindow or
+	// Hit is the outcome's provenance: HitMiss, HitExact or
 	// HitSkeleton. For Shared entries it is the canonical query's
 	// provenance.
 	Hit Hit
@@ -165,7 +147,6 @@ type Stats struct {
 	Queries        int64 `json:"queries"`         // Route calls + batch entries
 	Batches        int64 `json:"batches"`         // RouteBatch calls
 	CacheHits      int64 `json:"cache_hits"`      // outcomes served from the exact result cache
-	WindowHits     int64 `json:"window_hits"`     // outcomes served from the validity-window cache
 	SkeletonHits   int64 `json:"skeleton_hits"`   // outcomes composed from a stored skeleton family
 	Deduped        int64 `json:"deduped"`         // batch entries shared from an identical query
 	EnginesCreated int64 `json:"engines_created"` // engines constructed (vs reused from the pool)
@@ -193,21 +174,24 @@ type Stats struct {
 	// computed at epoch N can never be served once epoch N+1 begins
 	// (the swap replaces the cache wholesale).
 	Epoch int64 `json:"epoch"`
-	// Cache occupancy and pressure. CacheEntries/Windows and the
+	// Cache occupancy and pressure. CacheEntries/SkelFamilies and the
 	// capacities are gauges over the live backend (zero when the cache
 	// is disabled); the eviction counters count entries shed by
 	// capacity pressure — not invalidation — and stay monotone across
 	// backend swaps (retired backends' counts fold into the total at
 	// swap time).
-	CacheEntries    int64 `json:"cache_entries"`
-	CacheCapacity   int64 `json:"cache_capacity"`
-	CacheEvictions  int64 `json:"cache_evictions"`
-	Windows         int64 `json:"windows"`
-	WindowCapacity  int64 `json:"window_capacity"`
-	WindowEvictions int64 `json:"window_evictions"`
-	SkelFamilies    int64 `json:"skel_families"`
-	SkelCapacity    int64 `json:"skel_capacity"`
-	SkelEvictions   int64 `json:"skel_evictions"`
+	CacheEntries   int64 `json:"cache_entries"`
+	CacheCapacity  int64 `json:"cache_capacity"`
+	CacheEvictions int64 `json:"cache_evictions"`
+	SkelFamilies   int64 `json:"skel_families"`
+	SkelCapacity   int64 `json:"skel_capacity"`
+	SkelEvictions  int64 `json:"skel_evictions"`
+	// Deprecated: the window tier was removed; kept only so servebench compiles.
+	WindowHits int64 `json:"-"`
+	// Deprecated: the window tier was removed; kept only so servebench compiles.
+	Windows int64 `json:"-"`
+	// Deprecated: the window tier was removed; kept only so servebench compiles.
+	WindowEvictions int64 `json:"-"`
 	// Reasons are the cumulative decision-provenance tallies: why
 	// queries missed every cache and why planned members ran solo.
 	Reasons ReasonStats `json:"reasons"`
@@ -285,16 +269,16 @@ func (r ReasonStats) Add(o ReasonStats) ReasonStats {
 }
 
 // CacheMisses returns the number of queries that went to an engine:
-// every query that was not an exact hit, a window hit, a skeleton
-// composition, or shared from an identical batch entry.
+// every query that was not an exact hit, a skeleton composition, or
+// shared from an identical batch entry.
 func (s Stats) CacheMisses() int64 {
-	return s.Queries - s.CacheHits - s.WindowHits - s.SkeletonHits - s.Deduped
+	return s.Queries - s.CacheHits - s.SkeletonHits - s.Deduped
 }
 
 // String renders a one-line summary of the counters.
 func (s Stats) String() string {
-	return fmt.Sprintf("queries=%d batches=%d cacheHits=%d windowHits=%d skeletonHits=%d cacheMisses=%d deduped=%d sharedRuns=%d sharedAnswers=%d engines=%d epoch=%d",
-		s.Queries, s.Batches, s.CacheHits, s.WindowHits, s.SkeletonHits, s.CacheMisses(), s.Deduped, s.SharedRuns, s.SharedAnswers, s.EnginesCreated, s.Epoch)
+	return fmt.Sprintf("queries=%d batches=%d cacheHits=%d skeletonHits=%d cacheMisses=%d deduped=%d sharedRuns=%d sharedAnswers=%d engines=%d epoch=%d",
+		s.Queries, s.Batches, s.CacheHits, s.SkeletonHits, s.CacheMisses(), s.Deduped, s.SharedRuns, s.SharedAnswers, s.EnginesCreated, s.Epoch)
 }
 
 // poolBackend bundles one graph with the engine pool and result cache
@@ -306,8 +290,10 @@ type poolBackend struct {
 	g       *itgraph.Graph
 	v       *model.Venue
 	engines sync.Pool
-	cache   *resultCache  // nil when caching is disabled
-	windows *tcache.Store // nil unless Options.WindowCache
+	cache   *resultCache // nil when caching is disabled
+	// families is the skeleton family store; nil unless
+	// Options.SkeletonCache (see newBackend).
+	families *tcache.Store
 	// evidence gates skeleton family builds (see missEvidence).
 	evidence missEvidence
 }
@@ -326,7 +312,6 @@ type Pool struct {
 	queries        atomic.Int64
 	batches        atomic.Int64
 	cacheHits      atomic.Int64
-	windowHits     atomic.Int64
 	skeletonHits   atomic.Int64
 	deduped        atomic.Int64
 	enginesCreated atomic.Int64
@@ -359,14 +344,13 @@ type Pool struct {
 	effortRelax  *obs.Histogram
 	effortTV     *obs.Histogram
 
-	// cacheEvictBase / windowEvictBase / skelEvictBase fold retired
+	// cacheEvictBase / skelEvictBase fold retired
 	// backends' eviction counts in at swap time, keeping the exported
 	// eviction counters monotone across SetGraph swaps. A scrape racing
 	// a swap can transiently under-read by the retiring backend's
 	// count; the next scrape corrects it.
-	cacheEvictBase  atomic.Int64
-	windowEvictBase atomic.Int64
-	skelEvictBase   atomic.Int64
+	cacheEvictBase atomic.Int64
+	skelEvictBase  atomic.Int64
 }
 
 // New builds a Pool over the graph.
@@ -420,25 +404,15 @@ func (p *Pool) Effort() EffortSnapshot {
 	}
 }
 
-// WindowCoverage snapshots the live window store's per-pair window
-// counts and day coverage (nil when the window cache is disabled).
-func (p *Pool) WindowCoverage() []tcache.PairCoverage {
-	b := p.backend.Load()
-	if b.windows == nil || !p.opts.WindowCache {
-		return nil
-	}
-	return b.windows.Coverage()
-}
-
 // SkeletonCoverage snapshots the live store's per-pair skeleton
 // occupancy — slot families, stored chains and covered slot seconds —
 // nil when the skeleton cache is disabled.
 func (p *Pool) SkeletonCoverage() []tcache.PairCoverage {
 	b := p.backend.Load()
-	if !p.skeletonEnabled(b) {
+	if b.families == nil {
 		return nil
 	}
-	return b.windows.SkeletonCoverage()
+	return b.families.SkeletonCoverage()
 }
 
 // observeEffort feeds one completed search's statistics into the
@@ -471,19 +445,13 @@ func (p *Pool) newBackend(g *itgraph.Graph) *poolBackend {
 	default:
 		b.cache = newResultCache(p.opts.CacheCapacity)
 	}
-	if (p.opts.WindowCache || p.opts.SkeletonCache) && p.opts.WindowCapacity >= 0 {
-		b.windows = tcache.NewStore(p.opts.WindowCapacity)
+	// The SinglePartitionExpansion ablation's visited-partition gate
+	// makes per-entry-door families unsound (core.BuildSkeletonFamily
+	// refuses them anyway), so it gets no family store.
+	if p.opts.SkeletonCache && !p.opts.Engine.SinglePartitionExpansion {
+		b.families = tcache.NewStore(0)
 	}
 	return b
-}
-
-// skeletonEnabled reports whether the backend serves and builds
-// skeleton families: the option is on, the shared temporal store
-// exists, and the engine is not the SinglePartitionExpansion ablation
-// (whose visited-partition gate makes per-entry-door families
-// unsound — core.BuildSkeletonFamily refuses them anyway).
-func (p *Pool) skeletonEnabled(b *poolBackend) bool {
-	return p.opts.SkeletonCache && b.windows != nil && !p.opts.Engine.SinglePartitionExpansion
 }
 
 // Graph returns the shared IT-Graph.
@@ -509,9 +477,8 @@ func (p *Pool) SetGraph(g *itgraph.Graph) {
 		_, _, ev := old.cache.usage()
 		p.cacheEvictBase.Add(ev)
 	}
-	if old.windows != nil {
-		p.windowEvictBase.Add(old.windows.Evictions())
-		p.skelEvictBase.Add(old.windows.FamEvictions())
+	if old.families != nil {
+		p.skelEvictBase.Add(old.families.FamEvictions())
 	}
 }
 
@@ -538,50 +505,42 @@ func (p *Pool) UpdateSchedules(updates map[model.DoorID]temporal.Schedule) error
 // hit/dedup counter, so queries read last dominates).
 func (p *Pool) Stats() Stats {
 	hits := p.cacheHits.Load()
-	windowHits := p.windowHits.Load()
 	skeletonHits := p.skeletonHits.Load()
 	deduped := p.deduped.Load()
 	// Eviction bases before backend counts: a swap between the two
 	// reads can only under-read (next scrape corrects), never regress.
 	cacheEv := p.cacheEvictBase.Load()
-	windowEv := p.windowEvictBase.Load()
 	skelEv := p.skelEvictBase.Load()
 	b := p.backend.Load()
-	var cacheSize, cacheCap, winSize, winCap, skelSize, skelCap int
+	var cacheSize, cacheCap, skelSize, skelCap int
 	if b.cache != nil {
 		var ev int64
 		cacheSize, cacheCap, ev = b.cache.usage()
 		cacheEv += ev
 	}
-	if b.windows != nil {
-		winSize, winCap = b.windows.Len(), b.windows.Cap()
-		windowEv += b.windows.Evictions()
-		skelSize, skelCap = b.windows.FamLen(), b.windows.Cap()
-		skelEv += b.windows.FamEvictions()
+	if b.families != nil {
+		skelSize, skelCap = b.families.FamLen(), b.families.Cap()
+		skelEv += b.families.FamEvictions()
 	}
 	return Stats{
-		Batches:         p.batches.Load(),
-		CacheHits:       hits,
-		WindowHits:      windowHits,
-		SkeletonHits:    skeletonHits,
-		Deduped:         deduped,
-		EnginesCreated:  p.enginesCreated.Load(),
-		EngineSearches:  p.engineSearches.Load(),
-		SharedRuns:      p.sharedRuns.Load(),
-		SharedAnswers:   p.sharedAnswers.Load(),
-		FamilyBuilds:    p.familyBuilds.Load(),
-		Epoch:           p.swapEpoch.Load(),
-		CacheEntries:    int64(cacheSize),
-		CacheCapacity:   int64(cacheCap),
-		CacheEvictions:  cacheEv,
-		Windows:         int64(winSize),
-		WindowCapacity:  int64(winCap),
-		WindowEvictions: windowEv,
-		SkelFamilies:    int64(skelSize),
-		SkelCapacity:    int64(skelCap),
-		SkelEvictions:   skelEv,
-		Reasons:         p.reasonStats(),
-		Queries:         p.queries.Load(),
+		Batches:        p.batches.Load(),
+		CacheHits:      hits,
+		SkeletonHits:   skeletonHits,
+		Deduped:        deduped,
+		EnginesCreated: p.enginesCreated.Load(),
+		EngineSearches: p.engineSearches.Load(),
+		SharedRuns:     p.sharedRuns.Load(),
+		SharedAnswers:  p.sharedAnswers.Load(),
+		FamilyBuilds:   p.familyBuilds.Load(),
+		Epoch:          p.swapEpoch.Load(),
+		CacheEntries:   int64(cacheSize),
+		CacheCapacity:  int64(cacheCap),
+		CacheEvictions: cacheEv,
+		SkelFamilies:   int64(skelSize),
+		SkelCapacity:   int64(skelCap),
+		SkelEvictions:  skelEv,
+		Reasons:        p.reasonStats(),
+		Queries:        p.queries.Load(),
 	}
 }
 
@@ -649,10 +608,9 @@ func (p *Pool) RouteTraced(tr *obs.Trace, q core.Query) Result {
 	return p.route(tr, q)
 }
 
-// Probe answers q from the answer tiers alone — exact, then window,
-// then skeleton — on the caller's goroutine, without checking out an
-// engine. It pins one backend, so a hit reflects one schedule set in
-// full. A hit books one query and one hit, exactly as Route would have
+// Probe answers q from the answer tiers alone — exact, then skeleton —
+// on the caller's goroutine, without checking out an engine. It pins
+// one backend, so a hit reflects one schedule set in full. A hit books one query and one hit, exactly as Route would have
 // booked it, and records a probe span on tr. A miss books nothing and
 // records nothing: the search path that answers it (Route, or a
 // coalescer flush) probes again and accounts for it there. This is the
@@ -681,12 +639,12 @@ func (p *Pool) route(tr *obs.Trace, q core.Query) Result {
 
 // routeKeyed is route with the backend pinned and the cache keys
 // already derived (RouteBatch computes them once for deduplication and
-// reuses them here). Lookup order: exact cache, then validity-window
-// cache, then an engine search whose outcome feeds both.
+// reuses them here). Lookup order: exact cache, then skeleton family,
+// then an engine search whose outcome feeds both.
 func (p *Pool) routeKeyed(tr *obs.Trace, b *poolBackend, q core.Query, key cacheKey, ekey entryKey, cacheable bool) Result {
 	p.queries.Add(1)
 	sp := tr.Start(obs.StageProbe)
-	r, ok, epoch, wepoch, reason := p.lookupCaches(b, q, key, ekey, cacheable)
+	r, ok, epoch, fepoch, reason := p.lookupCaches(b, q, key, ekey, cacheable)
 	if ok {
 		p.noteHit(key, r.Hit)
 	}
@@ -715,7 +673,7 @@ func (p *Pool) routeKeyed(tr *obs.Trace, b *poolBackend, q core.Query, key cache
 	}
 	r = Result{Path: path, Stats: stats, Err: err, Hit: HitMiss}
 	sp = tr.Start(obs.StageStore)
-	if p.storeOutcome(tr, &sp, b, e, q, key, ekey, cacheable, r, epoch, wepoch) {
+	if p.storeOutcome(tr, &sp, b, e, key, ekey, cacheable, r, epoch, fepoch) {
 		// The computed outcome was discarded by an epoch guard: the
 		// cache state this miss reasoned about no longer exists.
 		reason = obs.ReasonEpochRaced
@@ -748,29 +706,26 @@ type planAttrs struct {
 	SoloSingleton int `json:"solo_singleton,omitempty"`
 }
 
-// lookupCaches serves q from the exact cache, then the validity-window
-// cache, then the pair's skeleton family. It books nothing: the caller
-// books its query and then the hit (noteHit), or the miss (noteMiss)
-// once the outcome — including a possible epoch race — is known. On a
-// miss it returns the store epochs captured before any search, for the
-// epoch-guarded inserts of storeOutcome, plus the miss's provenance.
-// Route, the batch paths and Probe all share it, so the tier logic
-// lives here once.
+// lookupCaches serves q from the exact cache, then the pair's
+// skeleton family. It books nothing: the caller books its query and
+// then the hit (noteHit), or the miss (noteMiss) once the outcome —
+// including a possible epoch race — is known. On a miss it returns the
+// exact-cache and family-store epochs captured before any search, for
+// the epoch-guarded inserts of storeOutcome, plus the miss's
+// provenance. Route, the batch paths and Probe all share it, so the
+// tier logic lives here once.
 //
-// Probe order is cheapest-first: an exact hit is a map step, a window
-// hit a binary search plus an arrival rebase, a skeleton hit a
-// composition over the family's chains (two distance-matrix reads per
-// chain). None of the three checks out an engine.
+// Probe order is cheapest-first: an exact hit is a map step, a
+// skeleton hit a composition over the family's chains (two
+// distance-matrix reads per chain). Neither checks out an engine. A
+// query whose family is being built by another miss waits for that
+// build and composes from it.
 func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey entryKey, cacheable bool) (Result, bool, uint64, uint64, obs.Reason) {
-	useCache := cacheable && b.cache != nil
-	useWindows := cacheable && b.windows != nil && p.opts.WindowCache
-	useSkel := cacheable && p.skeletonEnabled(b) && key.src != key.tgt
-	reason := obs.ReasonNoExactEntry
 	if !cacheable {
-		reason = obs.ReasonUncacheable
+		return Result{}, false, 0, 0, obs.ReasonUncacheable
 	}
-	var epoch, wepoch uint64
-	if useCache {
+	var epoch uint64
+	if b.cache != nil {
 		if r, ok := b.cache.get(key, ekey); ok {
 			r.CacheHit = true
 			r.Hit = HitExact
@@ -778,51 +733,33 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 		}
 		epoch = b.cache.epoch()
 	}
-	if useWindows || useSkel {
-		wepoch = b.windows.Epoch()
+	if b.families == nil || key.src == key.tgt {
+		return Result{}, false, epoch, 0, obs.ReasonNoExactEntry
 	}
-	if useWindows {
-		ent, mk := b.windows.Probe(windowKey(key), windowPointKey(ekey), ekey.at)
-		if ent != nil {
-			// Deliberately not promoted into the exact cache: a sweep
-			// workload would flood it with one-shot per-departure
-			// entries (evicting genuinely hot exact entries), and the
-			// window lookup repeats serve from is already O(log n).
-			r := materializeWindow(ent, q, ekey)
-			r.CacheHit = true
-			r.Hit = HitWindow
-			return r, true, 0, 0, obs.ReasonNone
-		}
-		if mk == tcache.MissOutsideWindows {
-			reason = obs.ReasonOutsideWindows
-		} else {
-			reason = obs.ReasonWindowFamilyAbsent
+	fepoch := b.families.Epoch()
+	fe, mk := b.families.ProbeFamily(famKey(key), ekey.at)
+	if fe == nil {
+		if done := b.evidence.pending(p.familyKey(key)); done != nil {
+			// The family this query needs is being built: a build costs
+			// several searches, so wait for it and compose rather than
+			// run a search of our own.
+			<-done
+			fe, mk = b.families.ProbeFamily(famKey(key), ekey.at)
 		}
 	}
-	if useSkel {
-		fe, mk := b.windows.ProbeFamily(windowKey(key), ekey.at)
-		switch {
-		case fe != nil:
-			if path, ok := core.ComposeSkeletonPath(b.g, q.Source, q.Target, ekey.at, ekey.speed, fe.Fam); ok {
-				r := Result{Path: path, Stats: fe.Stats, CacheHit: true, Hit: HitSkeleton}
-				return r, true, 0, 0, obs.ReasonNone
-			}
-			// A family covers the departure but refused these endpoints:
-			// the most specific provenance, overriding the point-window
-			// miss kinds.
-			reason = obs.ReasonSkeletonUncertified
-		case mk == tcache.MissOutsideWindows && reason != obs.ReasonOutsideWindows:
-			// Skeletons exist for the pair, just not this slot: upgrade
-			// "family absent" to the sharper outside-windows provenance
-			// (same rule the point probe applies).
-			reason = obs.ReasonOutsideWindows
-		case reason == obs.ReasonNoExactEntry:
-			// Skeleton-only configuration (window cache off): the family
-			// store is the temporal cache that had nothing for the pair.
-			reason = obs.ReasonWindowFamilyAbsent
+	reason := obs.ReasonWindowFamilyAbsent
+	switch {
+	case fe != nil:
+		if path, ok := core.ComposeSkeletonPath(b.g, q.Source, q.Target, ekey.at, ekey.speed, fe.Fam); ok {
+			return Result{Path: path, Stats: fe.Stats, CacheHit: true, Hit: HitSkeleton}, true, 0, 0, obs.ReasonNone
 		}
+		// A family covers the departure but refused these endpoints.
+		reason = obs.ReasonSkeletonUncertified
+	case mk == tcache.MissOutsideWindows:
+		// The pair has families, just not for this departure's slot.
+		reason = obs.ReasonOutsideWindows
 	}
-	return Result{}, false, epoch, wepoch, reason
+	return Result{}, false, epoch, fepoch, reason
 }
 
 // noteHit books one cache hit of the given tier: the pool's hit
@@ -837,9 +774,6 @@ func (p *Pool) noteHit(key cacheKey, hit Hit) {
 	case HitExact:
 		p.cacheHits.Add(1)
 		ls.ExactHits, ps.ExactHits = 1, 1
-	case HitWindow:
-		p.windowHits.Add(1)
-		ls.WindowHits, ps.WindowHits = 1, 1
 	case HitSkeleton:
 		p.skeletonHits.Add(1)
 		ls.SkeletonHits, ps.SkeletonHits = 1, 1
@@ -848,45 +782,30 @@ func (p *Pool) noteHit(key cacheKey, hit Hit) {
 	p.pairs.Feed(pairKeyOf(key), ps)
 }
 
-// storeOutcome feeds one computed outcome into the exact and window
-// caches and, when the miss has earned it, the skeleton store. A build
-// is due when the skeleton layer is on, no family covers the departure
-// yet and the miss carries repeat evidence (missEvidence): its family
-// key already missed once under this backend, or a SharedPartition
-// wave recorded it. A first, unrepeated miss only records its key. A
-// due build runs on the same engine checkout as its own build span,
-// carved out of the caller's open store span sp (ended before the
-// build, reopened after it). The building miss stores no point-window
-// entry: its family answers any endpoints of the pair in the slot, so
-// the window would be dead weight. The engine that produced (or
-// rebased) the answer must still be checked out: the window derivation
-// replays its leg arithmetic and the family build runs its frozen
-// Dijkstras. Reports whether an insert was discarded by an epoch guard
-// (an invalidation ran while the search was in flight) — the
-// epoch_raced provenance.
-func (p *Pool) storeOutcome(tr *obs.Trace, sp *obs.Span, b *poolBackend, e *core.Engine, q core.Query,
-	key cacheKey, ekey entryKey, cacheable bool, r Result, epoch, wepoch uint64) (raced bool) {
+// storeOutcome feeds one computed outcome into the exact cache and,
+// when the miss has earned it, the skeleton store. A build is due when
+// the skeleton layer is on, no family covers the departure yet and
+// the miss carries repeat evidence (missEvidence): its family key
+// already missed once under this backend, or a SharedPartition wave
+// recorded it. A first, unrepeated miss only records its key, and a
+// miss whose key already has a build in flight neither builds nor
+// waits. A due build runs on the same engine checkout as its own build
+// span, carved out of the caller's open store span sp (ended before
+// the build, reopened after it). Reports whether an insert was
+// discarded by an epoch guard (an invalidation ran while the search
+// was in flight) — the epoch_raced provenance.
+func (p *Pool) storeOutcome(tr *obs.Trace, sp *obs.Span, b *poolBackend, e *core.Engine,
+	key cacheKey, ekey entryKey, cacheable bool, r Result, epoch, fepoch uint64) (raced bool) {
 
-	built := false
-	if cacheable && p.skeletonEnabled(b) && key.src != key.tgt && r.Err == nil {
-		if _, mk := b.windows.ProbeFamily(windowKey(key), ekey.at); mk != tcache.MissNone &&
-			b.evidence.repeat(p.familyKey(key)) {
-			sp.End()
-			bsp := tr.Start(obs.StageBuild)
-			if fam := e.BuildSkeletonFamily(key.src, key.tgt, ekey.at); fam != nil {
-				built = true
-				p.familyBuilds.Add(1)
-				fe := &tcache.FamilyEntry{Window: fam.Window, Fam: fam, Stats: r.Stats}
-				// A losing insert against a concurrent same-slot build is
-				// not a race — identical families, first-in wins. Only an
-				// epoch move is.
-				if !b.windows.InsertFamily(windowKey(key), fe, wepoch) &&
-					b.windows.Epoch() != wepoch {
-					raced = true
-				}
+	if cacheable && b.families != nil && key.src != key.tgt && r.Err == nil {
+		if _, mk := b.families.ProbeFamily(famKey(key), ekey.at); mk != tcache.MissNone {
+			if fk := p.familyKey(key); b.evidence.claimBuild(fk) {
+				sp.End()
+				bsp := tr.Start(obs.StageBuild)
+				raced = p.buildFamily(b, e, fk, key, ekey, r.Stats, fepoch)
+				bsp.End()
+				*sp = tr.Start(obs.StageStore)
 			}
-			bsp.End()
-			*sp = tr.Start(obs.StageStore)
 		}
 	}
 	if cacheable && b.cache != nil {
@@ -894,17 +813,27 @@ func (p *Pool) storeOutcome(tr *obs.Trace, sp *obs.Span, b *poolBackend, e *core
 			raced = true
 		}
 	}
-	if !built && cacheable && b.windows != nil && p.opts.WindowCache && r.Err == nil && r.Path != nil {
-		if went := windowEntryFor(e, q, r.Path, r.Stats); went != nil {
-			// Insert also rejects overlaps and degenerate windows; only
-			// an epoch move counts as a race.
-			if !b.windows.Insert(windowKey(key), windowPointKey(ekey), went, wepoch) &&
-				b.windows.Epoch() != wepoch {
-				raced = true
-			}
-		}
-	}
 	return raced
+}
+
+// buildFamily runs the build storeOutcome claimed for family key fk
+// and releases the claim when it returns. It skips the build when a
+// family landed since storeOutcome's probe (a build that finished
+// between that probe and the claim). Reports whether the insert lost
+// to an epoch move. A losing insert against a concurrent same-slot
+// build is not a race — identical families, first-in wins.
+func (p *Pool) buildFamily(b *poolBackend, e *core.Engine, fk, key cacheKey, ekey entryKey, stats core.SearchStats, fepoch uint64) (raced bool) {
+	defer b.evidence.endBuild(fk)
+	if _, mk := b.families.ProbeFamily(famKey(key), ekey.at); mk == tcache.MissNone {
+		return false
+	}
+	fam := e.BuildSkeletonFamily(key.src, key.tgt, ekey.at)
+	if fam == nil {
+		return false
+	}
+	p.familyBuilds.Add(1)
+	fe := &tcache.FamilyEntry{Window: fam.Window, Fam: fam, Stats: stats}
+	return !b.families.InsertFamily(famKey(key), fe, fepoch) && b.families.Epoch() != fepoch
 }
 
 // familyKey is a miss's missEvidence key: its partition pair and the
@@ -918,63 +847,10 @@ func (p *Pool) familyKey(key cacheKey) cacheKey {
 	return key
 }
 
-// windowKey and windowPointKey project the exact-cache keys onto the
-// window store's addressing.
-func windowKey(key cacheKey) tcache.Key {
+// famKey projects an exact-cache key onto the family store's
+// addressing: the partition pair.
+func famKey(key cacheKey) tcache.Key {
 	return tcache.Key{Src: key.src, Tgt: key.tgt}
-}
-
-func windowPointKey(ekey entryKey) tcache.PointKey {
-	return tcache.PointKey{Src: ekey.src, Tgt: ekey.tgt, Speed: ekey.speed}
-}
-
-// windowEntryFor derives the validity-window entry for a found path,
-// or nil when the answer is not window-cacheable (its walk crosses a
-// checkpoint, its arrival wraps midnight, …). Called with the engine
-// still checked out: both the window derivation and PathDistances
-// replay the engine's own leg arithmetic, so the window and the
-// rebased arrivals are faithful to the search that produced the path.
-func windowEntryFor(e *core.Engine, q core.Query, path *core.Path, stats core.SearchStats) *tcache.Entry {
-	dists := e.PathDistances(path, q)
-	w, err := e.AnswerWindowDists(path, q, dists)
-	if err != nil {
-		return nil
-	}
-	return &tcache.Entry{
-		Window:     w,
-		Doors:      path.Doors,
-		Partitions: path.Partitions,
-		Length:     path.Length,
-		Dists:      dists,
-		Stats:      stats,
-	}
-}
-
-// materializeWindow builds the answer for a departure covered by a
-// stored window: the entry's door and partition sequences (shared —
-// paths are immutable) with every arrival recomputed for this query's
-// departure, exactly as the engine's reconstruct would have
-// (departure + cumulative distance / speed, the same float64 ops in
-// the same order). The original Path.Arrival instants are never
-// reused. Stats are the producing search's, mirroring exact hits.
-func materializeWindow(ent *tcache.Entry, q core.Query, ekey entryKey) Result {
-	arrivals := make([]temporal.TimeOfDay, len(ent.Doors))
-	for i, d := range ent.Dists {
-		arrivals[i] = ekey.at + temporal.TimeOfDay(d/ekey.speed)
-	}
-	return Result{
-		Path: &core.Path{
-			Source:       q.Source,
-			Target:       q.Target,
-			Doors:        ent.Doors,
-			Partitions:   ent.Partitions,
-			Length:       ent.Length,
-			Arrivals:     arrivals,
-			ArrivalAtTgt: ekey.at + temporal.TimeOfDay(ent.Length/ekey.speed),
-			DepartedAt:   ekey.at,
-		},
-		Stats: ent.Stats,
-	}
 }
 
 // entryFor derives the checkpoint-slot range a cached outcome depends
@@ -1018,13 +894,12 @@ func keysFor(b *poolBackend, q core.Query) (cacheKey, entryKey, bool) {
 // entries came from each cache, how many engine searches actually ran
 // (Searches counts runs, so one shared run answering a 64-query group
 // adds 1, not 64), and the shared-execution tallies. Queries ==
-// ExactHits + WindowHits + SkeletonHits + Deduped + SharedAnswers +
+// ExactHits + SkeletonHits + Deduped + SharedAnswers +
 // (Searches - SharedRuns) always holds: every entry is a hit, a
 // duplicate, a shared-run answer, or a dedicated search.
 type BatchSummary struct {
 	Queries       int
 	ExactHits     int
-	WindowHits    int
 	SkeletonHits  int
 	Deduped       int
 	Searches      int
@@ -1125,7 +1000,7 @@ func (p *Pool) RouteBatchSummaryTraced(tr *obs.Trace, qs []core.Query) ([]Result
 		plan := batchplan.NewOpts(items, p.opts.Engine.Method, batchplan.Options{
 			// Partition-pair coalescing rides the skeleton layer: without
 			// a family store the members would just run solo anyway.
-			PartitionGroups: p.skeletonEnabled(b),
+			PartitionGroups: b.families != nil,
 		})
 		units = make([]unit, 0, len(plan.Groups)+len(uncacheable))
 		for gi := range plan.Groups {
@@ -1232,8 +1107,6 @@ func (p *Pool) RouteBatchSummaryTraced(tr *obs.Trace, qs []core.Query) ([]Result
 			sum.Deduped++
 		case r.Hit == HitExact:
 			sum.ExactHits++
-		case r.Hit == HitWindow:
-			sum.WindowHits++
 		case r.Hit == HitSkeleton:
 			sum.SkeletonHits++
 		case r.SharedRun:
@@ -1248,7 +1121,7 @@ func (p *Pool) RouteBatchSummaryTraced(tr *obs.Trace, qs []core.Query) ([]Result
 }
 
 // routeGroup executes one batchplan group: a per-member cache pass
-// (exact and window hits never reach the shared run), then one
+// (exact and skeleton hits never reach the shared run), then one
 // checked-out engine answering every remaining member together via
 // RouteMany / RouteManyTo, with each answer fed through the same
 // epoch-guarded cache inserts a solo search uses. Static groups may
@@ -1283,7 +1156,7 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 	type pending struct {
 		i      int // batch index
 		epoch  uint64
-		wepoch uint64
+		fepoch uint64
 		reason obs.Reason // the member's miss provenance
 	}
 	var rem []pending
@@ -1294,13 +1167,13 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 	for _, m := range grp.Members {
 		i := items[m].Index
 		p.queries.Add(1)
-		r, ok, epoch, wepoch, reason := p.lookupCaches(b, qs[i], keys[i], ekeys[i], true)
+		r, ok, epoch, fepoch, reason := p.lookupCaches(b, qs[i], keys[i], ekeys[i], true)
 		if ok {
 			p.noteHit(keys[i], r.Hit)
 			out[i] = r
 			continue
 		}
-		rem = append(rem, pending{i: i, epoch: epoch, wepoch: wepoch, reason: reason})
+		rem = append(rem, pending{i: i, epoch: epoch, fepoch: fepoch, reason: reason})
 		if grp.Kind == batchplan.SharedSource {
 			pts = append(pts, qs[i].Target)
 		} else {
@@ -1337,7 +1210,7 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 		r := Result{Path: path, Stats: stats, Err: err, Hit: HitMiss}
 		sp = tr.Start(obs.StageStore)
 		reason := pm.reason
-		if p.storeOutcome(tr, &sp, b, e, qs[pm.i], keys[pm.i], ekeys[pm.i], true, r, pm.epoch, pm.wepoch) {
+		if p.storeOutcome(tr, &sp, b, e, keys[pm.i], ekeys[pm.i], true, r, pm.epoch, pm.fepoch) {
 			reason = obs.ReasonEpochRaced
 		}
 		sp.End()
@@ -1409,7 +1282,7 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 			SharedRun: counted && fromRun,
 		}
 		reason := pm.reason
-		if p.storeOutcome(tr, &sp, b, e, qs[pm.i], keys[pm.i], ekeys[pm.i], true, r, pm.epoch, pm.wepoch) {
+		if p.storeOutcome(tr, &sp, b, e, keys[pm.i], ekeys[pm.i], true, r, pm.epoch, pm.fepoch) {
 			reason = obs.ReasonEpochRaced
 		}
 		r.Explain = reason
@@ -1497,25 +1370,25 @@ func (p *Pool) InvalidateSlot(i int) {
 	if c := b.cache; c != nil {
 		c.invalidateSlot(i)
 	}
-	if w := b.windows; w != nil {
-		// A stored window's departures — and, by the answer-window
-		// clamp, its whole walks — lie inside one checkpoint slot, so
-		// dropping windows overlapping the slot's time range voids
-		// exactly the answers that depend on it. Full-day windows
-		// (static answers) overlap every slot and always drop.
+	if f := b.families; f != nil {
+		// A temporal family's window is one checkpoint slot, and a
+		// composition refuses walks leaving it, so dropping families
+		// overlapping the slot's time range voids exactly the answers
+		// that depend on it. Static families span the whole day and
+		// always drop.
 		cps := b.g.Checkpoints()
-		w.InvalidateRange(temporal.Interval{Open: cps.SlotStart(i), Close: cps.SlotEnd(i)})
+		f.InvalidateRange(temporal.Interval{Open: cps.SlotStart(i), Close: cps.SlotEnd(i)})
 	}
 }
 
-// InvalidateCache drops every cached outcome, windows included.
+// InvalidateCache drops every cached outcome, families included.
 func (p *Pool) InvalidateCache() {
 	b := p.backend.Load()
 	if c := b.cache; c != nil {
 		c.invalidateAll()
 	}
-	if w := b.windows; w != nil {
-		w.InvalidateAll()
+	if f := b.families; f != nil {
+		f.InvalidateAll()
 	}
 }
 
@@ -1527,14 +1400,4 @@ func (p *Pool) CacheLen() int {
 		return 0
 	}
 	return c.len()
-}
-
-// WindowLen returns the number of stored validity windows (0 when the
-// window cache is disabled).
-func (p *Pool) WindowLen() int {
-	w := p.backend.Load().windows
-	if w == nil {
-		return 0
-	}
-	return w.Len()
 }

@@ -376,12 +376,12 @@ func TestPoolStatsCounters(t *testing.T) {
 }
 
 func TestStatsSerialisation(t *testing.T) {
-	st := Stats{Queries: 10, Batches: 1, CacheHits: 3, WindowHits: 1, SkeletonHits: 1, Deduped: 2, EnginesCreated: 4,
+	st := Stats{Queries: 10, Batches: 1, CacheHits: 3, SkeletonHits: 2, Deduped: 2, EnginesCreated: 4,
 		EngineSearches: 3, SharedRuns: 1, SharedAnswers: 2, Epoch: 5}
 	if got := st.CacheMisses(); got != 3 {
 		t.Fatalf("CacheMisses = %d, want 3", got)
 	}
-	want := "queries=10 batches=1 cacheHits=3 windowHits=1 skeletonHits=1 cacheMisses=3 deduped=2 sharedRuns=1 sharedAnswers=2 engines=4 epoch=5"
+	want := "queries=10 batches=1 cacheHits=3 skeletonHits=2 cacheMisses=3 deduped=2 sharedRuns=1 sharedAnswers=2 engines=4 epoch=5"
 	if st.String() != want {
 		t.Fatalf("String = %q, want %q", st, want)
 	}
@@ -396,7 +396,7 @@ func TestStatsSerialisation(t *testing.T) {
 	if back != st {
 		t.Fatalf("round trip: %+v != %+v", back, st)
 	}
-	for _, field := range []string{"queries", "batches", "cache_hits", "window_hits", "deduped", "engines_created", "engine_searches", "shared_runs", "shared_answers", "epoch"} {
+	for _, field := range []string{"queries", "batches", "cache_hits", "skeleton_hits", "deduped", "engines_created", "engine_searches", "shared_runs", "shared_answers", "epoch"} {
 		if !strings.Contains(string(raw), `"`+field+`"`) {
 			t.Fatalf("JSON missing %q: %s", field, raw)
 		}

@@ -146,7 +146,7 @@ func TestSharedBatchMatchesSequentialAllMethods(t *testing.T) {
 					t.Fatalf("trial %d method %v workers %d: no real sharing: %+v", trial, method, workers, sum)
 				}
 				if sum.Queries != len(qs) ||
-					sum.ExactHits+sum.WindowHits+sum.Deduped+sum.SharedAnswers+(sum.Searches-sum.SharedRuns) != sum.Queries {
+					sum.ExactHits+sum.SkeletonHits+sum.Deduped+sum.SharedAnswers+(sum.Searches-sum.SharedRuns) != sum.Queries {
 					t.Fatalf("trial %d method %v workers %d: summary does not add up: %+v", trial, method, workers, sum)
 				}
 				// The whole point: strictly fewer engine runs than entries.
@@ -165,9 +165,9 @@ func TestSharedBatchMatchesSequentialAllMethods(t *testing.T) {
 }
 
 // TestSharedBatchComposesWithWindowCache: with both the planner and the
-// validity-window cache on, a departure sweep over a multi-target fan
-// stays byte-identical to the sequential engine and serves a mix of
-// shared answers and window hits.
+// skeleton store on, a departure sweep over a multi-target fan stays
+// byte-identical to the sequential engine and serves a mix of shared
+// answers and compositions from the pairs' slot families.
 func TestSharedBatchComposesWithWindowCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(2201))
 	v := jitterGridVenue(t, rng, 4, 5)
@@ -184,10 +184,10 @@ func TestSharedBatchComposesWithWindowCache(t *testing.T) {
 		}
 	}
 	pool := New(g, Options{
-		Engine:      core.Options{Method: core.MethodAsyn},
-		Workers:     4,
-		SharedBatch: true,
-		WindowCache: true,
+		Engine:        core.Options{Method: core.MethodAsyn},
+		Workers:       4,
+		SharedBatch:   true,
+		SkeletonCache: true,
 	})
 	seq := core.NewEngine(g, core.Options{Method: core.MethodAsyn})
 	rs, sum := pool.RouteBatchSummary(qs)
@@ -239,7 +239,7 @@ func TestSharedBatchStaticMergesDepartures(t *testing.T) {
 // set is byte-identical to the sequential engine over the pre-swap or
 // the post-swap graph, never a mix and never a third outcome.
 func TestSharedBatchRacingUpdateSchedules(t *testing.T) {
-	// Deterministic two-door venue (as the window-cache race test): set
+	// Deterministic two-door venue (as the family-store sweep race): set
 	// A opens only the near door, set B only the far one, so at every
 	// departure the two graphs give different, precomputable answers.
 	b := model.NewBuilder("shared-swap-race")
@@ -291,10 +291,10 @@ func TestSharedBatchRacingUpdateSchedules(t *testing.T) {
 	wantA, wantB := answersOn(gA), answersOn(gB)
 
 	pool := New(gA, Options{
-		Engine:      core.Options{Method: core.MethodAsyn},
-		Workers:     4,
-		SharedBatch: true,
-		WindowCache: true,
+		Engine:        core.Options{Method: core.MethodAsyn},
+		Workers:       4,
+		SharedBatch:   true,
+		SkeletonCache: true,
 	})
 	done := make(chan struct{})
 	var swapper sync.WaitGroup

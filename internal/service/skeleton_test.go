@@ -21,8 +21,8 @@ import (
 
 // jitterPair returns n queries between independently jittered interior
 // points of two fixed cells of a gridVenue (cell size 10), all at the
-// same departure — the hot-lobby wave shape exact and window caches
-// get zero reuse on.
+// same departure — the hot-lobby wave shape the exact cache gets zero
+// reuse on.
 func jitterPair(rng *rand.Rand, sr, sc, tr, tc int, at temporal.TimeOfDay, n int) []core.Query {
 	qs := make([]core.Query, n)
 	for i := range qs {
@@ -72,7 +72,7 @@ func TestSkeletonPoolByteIdentical(t *testing.T) {
 }
 
 // TestSkeletonPoolStatsPartition pins the extended accounting: exact +
-// window + skeleton + deduped + misses == queries, engine searches
+// skeleton + deduped + misses == queries, engine searches
 // never exceed misses, gauges reflect the store, and provenance uses
 // the new reason when a family refuses.
 func TestSkeletonPoolStatsPartition(t *testing.T) {
@@ -80,7 +80,6 @@ func TestSkeletonPoolStatsPartition(t *testing.T) {
 	v := gridVenue(t, rng, 3, 3)
 	pool := New(itgraph.MustNew(v), Options{
 		Engine:        core.Options{Method: core.MethodSyn},
-		WindowCache:   true,
 		SkeletonCache: true,
 	})
 	at := temporal.Clock(12, 0, 0)
@@ -96,7 +95,7 @@ func TestSkeletonPoolStatsPartition(t *testing.T) {
 	if st.SkeletonHits == 0 {
 		t.Fatalf("no skeleton hits: %v", st)
 	}
-	if got := st.CacheHits + st.WindowHits + st.SkeletonHits + st.Deduped + st.CacheMisses(); got != st.Queries {
+	if got := st.CacheHits + st.SkeletonHits + st.Deduped + st.CacheMisses(); got != st.Queries {
 		t.Fatalf("partition broken: hits+misses=%d queries=%d (%v)", got, st.Queries, st)
 	}
 	if st.EngineSearches > st.CacheMisses() {
@@ -145,7 +144,7 @@ func TestSkeletonWaveCollapses(t *testing.T) {
 		if ratio := float64(sum.Searches) / float64(n); ratio > 0.5 {
 			t.Fatalf("%v: searches/query = %.2f, want <= 0.5 (%+v)", m, ratio, sum)
 		}
-		if got := sum.ExactHits + sum.WindowHits + sum.SkeletonHits + sum.Deduped +
+		if got := sum.ExactHits + sum.SkeletonHits + sum.Deduped +
 			sum.SharedAnswers + sum.Searches - sum.SharedRuns; got != sum.Queries {
 			t.Fatalf("%v: summary partition broken: %+v", m, sum)
 		}
@@ -350,8 +349,7 @@ func TestSkeletonInvalidation(t *testing.T) {
 // TestSkeletonBuildNeedsRepeatEvidence pins the build policy: a family
 // is built only when its (pair, family slot) key already missed once
 // under the current backend, or when the miss belongs to a jittered
-// SharedPartition wave; the building miss stores no point window; and
-// every build is counted.
+// SharedPartition wave; and every build is counted.
 func TestSkeletonBuildNeedsRepeatEvidence(t *testing.T) {
 	b := model.NewBuilder("evidence")
 	hall := b.AddPartition("hall", model.PublicPartition, geom.NewRect(0, 0, 10, 10, 0))
@@ -377,41 +375,39 @@ func TestSkeletonBuildNeedsRepeatEvidence(t *testing.T) {
 		}
 		return r
 	}
-	want := func(pool *Pool, step string, builds, families, windows int64) {
+	want := func(pool *Pool, step string, builds, families int64) {
 		t.Helper()
 		st := pool.Stats()
-		if st.FamilyBuilds != builds || st.SkelFamilies != families || st.Windows != windows {
-			t.Fatalf("%s: FamilyBuilds %d SkelFamilies %d Windows %d, want %d %d %d (%v)",
-				step, st.FamilyBuilds, st.SkelFamilies, st.Windows, builds, families, windows, st)
+		if st.FamilyBuilds != builds || st.SkelFamilies != families {
+			t.Fatalf("%s: FamilyBuilds %d SkelFamilies %d, want %d %d (%v)",
+				step, st.FamilyBuilds, st.SkelFamilies, builds, families, st)
 		}
 	}
 
 	pool := New(g, Options{
 		Engine:        core.Options{Method: core.MethodSyn},
 		CacheCapacity: -1,
-		WindowCache:   true,
 		SkeletonCache: true,
 	})
 	route(pool, query(0, 12))
-	want(pool, "first miss", 0, 0, 1)
+	want(pool, "first miss", 0, 0)
 	if r := route(pool, query(1, 12)); r.Hit != HitMiss {
 		t.Fatalf("second noon query hit=%q, want a miss", r.Hit)
 	}
-	// The building miss stores its family but no point window.
-	want(pool, "second miss, same pair and slot", 1, 1, 1)
+	want(pool, "second miss, same pair and slot", 1, 1)
 	if r := route(pool, query(2, 12)); r.Hit != HitSkeleton {
 		t.Fatalf("third noon query hit=%q, want a composition", r.Hit)
 	}
 	route(pool, query(0, 18))
-	want(pool, "first miss in another slot", 1, 1, 2)
+	want(pool, "first miss in another slot", 1, 1)
 
 	// A swap drops the evidence with the stores: the evening key that
 	// missed once above counts for nothing on the new backend.
 	pool.SetGraph(g)
 	route(pool, query(1, 18))
-	want(pool, "first miss after SetGraph", 1, 0, 1)
+	want(pool, "first miss after SetGraph", 1, 0)
 	route(pool, query(2, 18))
-	want(pool, "second miss after SetGraph", 2, 1, 1)
+	want(pool, "second miss after SetGraph", 2, 1)
 
 	// Static families cover the whole day, so static misses count as
 	// evidence across checkpoint slots.
@@ -421,9 +417,9 @@ func TestSkeletonBuildNeedsRepeatEvidence(t *testing.T) {
 		SkeletonCache: true,
 	})
 	route(static, query(0, 3))
-	want(static, "static first miss", 0, 0, 0)
+	want(static, "static first miss", 0, 0)
 	route(static, query(1, 20))
-	want(static, "static second miss, other slot", 1, 1, 0)
+	want(static, "static second miss, other slot", 1, 1)
 
 	// A jittered wave is its own evidence: a two-member SharedPartition
 	// group builds on its first member and composes the second.
@@ -437,5 +433,50 @@ func TestSkeletonBuildNeedsRepeatEvidence(t *testing.T) {
 	if rs[0].Hit != HitMiss || rs[1].Hit != HitSkeleton || sum.Searches != 1 {
 		t.Fatalf("wave hits %q/%q, %d searches, want miss/skeleton and 1", rs[0].Hit, rs[1].Hit, sum.Searches)
 	}
-	want(wave, "wave", 1, 1, 0)
+	want(wave, "wave", 1, 1)
+}
+
+// TestSkeletonBuildSingleFlight: concurrent repeat misses of one
+// (pair, family slot) key build its family once. Misses arriving while
+// the build runs do not build again, and every answer stays
+// byte-identical to a fresh search.
+func TestSkeletonBuildSingleFlight(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	g := itgraph.MustNew(openGridVenue(t, rng, 3, 3))
+	opts := core.Options{Method: core.MethodSyn}
+	at := temporal.Clock(9, 0, 0)
+	for round := 0; round < 5; round++ {
+		pool := New(g, Options{Engine: opts, CacheCapacity: -1, SkeletonCache: true})
+		qs := jitterPair(rng, 0, 0, 2, 2, at, 17)
+		// The first miss records the key's repeat evidence, so every
+		// racing miss below is due to build.
+		if r := pool.RouteResult(qs[0]); r.Err != nil || r.Hit != HitMiss {
+			t.Fatalf("evidence miss: hit=%q err=%v", r.Hit, r.Err)
+		}
+		start := make(chan struct{})
+		errc := make(chan error, len(qs))
+		var wg sync.WaitGroup
+		for _, q := range qs[1:] {
+			wg.Add(1)
+			go func(q core.Query) {
+				defer wg.Done()
+				<-start
+				r := pool.RouteResult(q)
+				want, _, err := core.NewEngine(g, opts).Route(q)
+				if r.Err != nil || err != nil || !reflect.DeepEqual(r.Path, want) {
+					errc <- fmt.Errorf("hit=%q: pool %v / engine %v, or paths differ", r.Hit, r.Err, err)
+				}
+			}(q)
+		}
+		close(start)
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatal(err)
+		}
+		if st := pool.Stats(); st.FamilyBuilds != 1 || st.SkelFamilies != 1 {
+			t.Fatalf("round %d: FamilyBuilds %d SkelFamilies %d, want one build of the one key (%v)",
+				round, st.FamilyBuilds, st.SkelFamilies, st)
+		}
+	}
 }

@@ -1,3 +1,8 @@
+// Family-window suite: the skeleton store's slot windows. A family is
+// keyed by its partition pair and valid over one checkpoint slot (the
+// whole day for the static method), so these tests pin how the pool
+// serves departures inside and outside those windows: time sweeps and
+// shifted departures of one pair, answered point-free.
 package service
 
 import (
@@ -11,12 +16,14 @@ import (
 	"indoorpath/internal/geom"
 	"indoorpath/internal/itgraph"
 	"indoorpath/internal/model"
+	"indoorpath/internal/obs"
 	"indoorpath/internal/temporal"
 )
 
 // windowDemoVenue: hall and shop joined by one door open [8:00, 16:00)
 // — checkpoint slots [0,8), [8,16), [16,24) — the minimal fixture where
-// window behaviour is fully predictable.
+// family behaviour is fully predictable: the hall -> shop pair can only
+// have a family in the [8,16) slot.
 func windowDemoVenue(t testing.TB) (*itgraph.Graph, *model.Venue) {
 	t.Helper()
 	b := model.NewBuilder("window-demo")
@@ -29,59 +36,80 @@ func windowDemoVenue(t testing.TB) (*itgraph.Graph, *model.Venue) {
 	return itgraph.MustNew(v), v
 }
 
+// skelPool builds an asyn pool with the skeleton store on.
+func skelPool(g *itgraph.Graph, workers int) *Pool {
+	return New(g, Options{Engine: core.Options{Method: core.MethodAsyn}, Workers: workers, SkeletonCache: true})
+}
+
+// demoQuery is a hall -> shop query; k moves both endpoints so each k
+// is a distinct exact-cache key of the same partition pair.
+func demoQuery(k int, at temporal.TimeOfDay) core.Query {
+	d := float64(k) / 2
+	return core.Query{Source: geom.Pt(5-d, 5, 0), Target: geom.Pt(15+d, 5, 0), At: at}
+}
+
+// buildDemoFamily routes two noon misses of the hall -> shop pair: the
+// first records the repeat evidence, the second builds the family.
+func buildDemoFamily(t *testing.T, pool *Pool) {
+	t.Helper()
+	for k := 0; k < 2; k++ {
+		if r := pool.route(nil, demoQuery(k, temporal.Clock(12, 0, 0))); r.Err != nil || r.Hit != HitMiss {
+			t.Fatalf("building miss %d: hit=%q err=%v", k, r.Hit, r.Err)
+		}
+	}
+	if st := pool.Stats(); st.FamilyBuilds != 1 || st.SkelFamilies != 1 {
+		t.Fatalf("after two noon misses: %v, want one family built", st)
+	}
+}
+
 func TestWindowPoolProvenance(t *testing.T) {
 	g, _ := windowDemoVenue(t)
-	pool := New(g, Options{Engine: core.Options{Method: core.MethodAsyn}, WindowCache: true})
+	pool := skelPool(g, 0)
+	engine := core.NewEngine(g, core.Options{Method: core.MethodAsyn})
 
-	q := core.Query{Source: geom.Pt(5, 5, 0), Target: geom.Pt(15, 5, 0), At: temporal.Clock(12, 0, 0)}
-	r1 := pool.route(nil, q)
-	if r1.Err != nil {
-		t.Fatal(r1.Err)
-	}
-	if r1.Hit != HitMiss || r1.CacheHit {
-		t.Fatalf("first route: hit=%q cacheHit=%v, want miss", r1.Hit, r1.CacheHit)
-	}
-	if pool.WindowLen() != 1 {
-		t.Fatalf("WindowLen = %d after one found route, want 1", pool.WindowLen())
+	// No family for the pair yet: both misses say so.
+	q0 := demoQuery(0, temporal.Clock(12, 0, 0))
+	r0 := pool.route(nil, q0)
+	q1 := demoQuery(1, temporal.Clock(12, 30, 0))
+	r1 := pool.route(nil, q1)
+	for i, r := range []Result{r0, r1} {
+		if r.Err != nil || r.Hit != HitMiss || r.CacheHit || r.Explain != obs.ReasonWindowFamilyAbsent {
+			t.Fatalf("miss %d: hit=%q cacheHit=%v explain=%q err=%v, want a window_family_absent miss",
+				i, r.Hit, r.CacheHit, r.Explain, r.Err)
+		}
 	}
 
-	// Same slot, shifted departure: a window hit with rebased arrivals —
-	// byte-identical to a fresh engine run at the shifted time.
-	q2 := q
-	q2.At = temporal.Clock(13, 30, 0)
+	// Same slot, new points, shifted departure: composed from the family
+	// the second miss built, byte-identical to a fresh engine run.
+	q2 := demoQuery(2, temporal.Clock(13, 30, 0))
 	r2 := pool.route(nil, q2)
-	if r2.Hit != HitWindow || !r2.CacheHit {
-		t.Fatalf("shifted route: hit=%q cacheHit=%v, want window", r2.Hit, r2.CacheHit)
+	if r2.Hit != HitSkeleton || !r2.CacheHit || r2.Explain != obs.ReasonNone {
+		t.Fatalf("shifted route: hit=%q cacheHit=%v explain=%q, want skeleton", r2.Hit, r2.CacheHit, r2.Explain)
 	}
-	wantPath, _, err := core.NewEngine(g, core.Options{Method: core.MethodAsyn}).Route(q2)
+	wantPath, _, err := engine.Route(q2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r2.Path, wantPath) {
-		t.Fatalf("window answer differs from engine:\n got  %+v\n want %+v", r2.Path, wantPath)
+		t.Fatalf("skeleton answer differs from engine:\n got  %+v\n want %+v", r2.Path, wantPath)
 	}
-	// Stats on a window hit are the producing search's, like exact hits.
+	// Stats on a skeleton hit are the building search's, like exact hits.
 	if r2.Stats != r1.Stats {
-		t.Fatalf("window hit stats %+v, want the producing search's %+v", r2.Stats, r1.Stats)
+		t.Fatalf("skeleton hit stats %+v, want the building search's %+v", r2.Stats, r1.Stats)
 	}
-
-	// An identical repeat serves from the window store again (window
-	// hits are deliberately not promoted into the exact cache — a sweep
-	// would flood it with one-shot entries); the engine-computed
-	// original, however, is an exact hit.
-	r3 := pool.route(nil, q2)
-	if r3.Hit != HitWindow || !r3.CacheHit {
-		t.Fatalf("repeat: hit=%q, want window", r3.Hit)
-	}
-	if !reflect.DeepEqual(r3.Path, wantPath) {
-		t.Fatal("repeated window answer differs from engine")
-	}
-	if r := pool.route(nil, q); r.Hit != HitExact || !r.CacheHit {
+	// The engine-computed original is an exact hit.
+	if r := pool.route(nil, q0); r.Hit != HitExact || !r.CacheHit {
 		t.Fatalf("original repeat: hit=%q, want exact", r.Hit)
 	}
 
+	// The pair has a family, just not for this slot.
+	q4 := demoQuery(3, temporal.Clock(7, 0, 0))
+	if r := pool.route(nil, q4); r.Hit != HitMiss || r.Explain != obs.ReasonOutsideWindows {
+		t.Fatalf("other-slot departure: hit=%q explain=%q, want an outside_windows miss", r.Hit, r.Explain)
+	}
+
 	st := pool.Stats()
-	if st.Queries != 4 || st.CacheHits != 1 || st.WindowHits != 2 || st.CacheMisses() != 1 {
+	if st.Queries != 5 || st.CacheHits != 1 || st.SkeletonHits != 1 || st.CacheMisses() != 3 {
 		t.Fatalf("stats = %v", st)
 	}
 	// At quiescence the real engine-run counter agrees with the derived
@@ -90,131 +118,122 @@ func TestWindowPoolProvenance(t *testing.T) {
 	if st.EngineSearches != st.CacheMisses() {
 		t.Fatalf("EngineSearches = %d, CacheMisses() = %d", st.EngineSearches, st.CacheMisses())
 	}
-
-	// A departure in another slot must not hit the window.
-	q4 := q
-	q4.At = temporal.Clock(7, 0, 0)
-	if r := pool.route(nil, q4); r.Hit != HitMiss {
-		t.Fatalf("other-slot departure: hit=%q, want miss", r.Hit)
+	if st.Reasons.MissWindowFamilyAbsent != 2 || st.Reasons.MissOutsideWindows != 1 {
+		t.Fatalf("reasons = %+v", st.Reasons)
 	}
 }
 
+// TestWindowPoolKeyIsolation: a family is keyed by its partition pair
+// alone — any endpoints and any walking speed of the pair compose from
+// it — while the reversed pair is a different key.
 func TestWindowPoolKeyIsolation(t *testing.T) {
 	g, _ := windowDemoVenue(t)
-	pool := New(g, Options{Engine: core.Options{Method: core.MethodAsyn}, WindowCache: true})
-	q := core.Query{Source: geom.Pt(5, 5, 0), Target: geom.Pt(15, 5, 0), At: temporal.Clock(12, 0, 0)}
-	if r := pool.route(nil, q); r.Err != nil {
-		t.Fatal(r.Err)
-	}
+	pool := skelPool(g, 0)
+	engine := core.NewEngine(g, core.Options{Method: core.MethodAsyn})
+	buildDemoFamily(t, pool)
 
-	// Same partitions, moved source point: windows are exact-endpoint.
-	qMoved := q
-	qMoved.Source = geom.Pt(6, 5, 0)
-	qMoved.At = temporal.Clock(12, 30, 0)
-	if r := pool.route(nil, qMoved); r.Hit != HitMiss {
-		t.Fatalf("moved point: hit=%q, want miss", r.Hit)
-	}
-	// Same points, different speed: windows are per-speed.
-	qFast := q
+	qMoved := demoQuery(5, temporal.Clock(12, 30, 0))
+	qMoved.Source = geom.Pt(3, 8, 0)
+	qFast := demoQuery(6, temporal.Clock(14, 0, 0))
 	qFast.Speed = 3.0
-	qFast.At = temporal.Clock(12, 30, 0)
-	if r := pool.route(nil, qFast); r.Hit != HitMiss {
-		t.Fatalf("different speed: hit=%q, want miss", r.Hit)
+	for _, q := range []core.Query{qMoved, qFast} {
+		r := pool.route(nil, q)
+		if r.Hit != HitSkeleton {
+			t.Fatalf("%+v: hit=%q, want skeleton", q, r.Hit)
+		}
+		want, _, err := engine.Route(q)
+		if err != nil || !reflect.DeepEqual(r.Path, want) {
+			t.Fatalf("%+v: composed path differs from engine (%v)", q, err)
+		}
 	}
-	// The default speed spelled explicitly is the same query family.
-	qExplicit := q
-	qExplicit.Speed = core.WalkingSpeedMPS
-	qExplicit.At = temporal.Clock(13, 0, 0)
-	if r := pool.route(nil, qExplicit); r.Hit != HitWindow {
-		t.Fatalf("explicit default speed: hit=%q, want window", r.Hit)
+	// The reversed pair has no family of its own.
+	qBack := core.Query{Source: geom.Pt(15, 5, 0), Target: geom.Pt(5, 5, 0), At: temporal.Clock(12, 0, 0)}
+	if r := pool.route(nil, qBack); r.Hit != HitMiss || r.Explain != obs.ReasonWindowFamilyAbsent {
+		t.Fatalf("reversed pair: hit=%q explain=%q, want a window_family_absent miss", r.Hit, r.Explain)
 	}
 }
 
+// TestWindowPoolNoRouteNotWindowCached: no-route outcomes never build a
+// family; only the exact cache holds them.
 func TestWindowPoolNoRouteNotWindowCached(t *testing.T) {
 	g, _ := windowDemoVenue(t)
-	pool := New(g, Options{Engine: core.Options{Method: core.MethodAsyn}, WindowCache: true})
-	q := core.Query{Source: geom.Pt(5, 5, 0), Target: geom.Pt(15, 5, 0), At: temporal.Clock(20, 0, 0)}
-	if r := pool.route(nil, q); !errors.Is(r.Err, core.ErrNoRoute) {
-		t.Fatalf("err = %v, want ErrNoRoute", r.Err)
+	pool := skelPool(g, 0)
+	for k := 0; k < 3; k++ {
+		if r := pool.route(nil, demoQuery(k, temporal.Clock(20, k, 0))); !errors.Is(r.Err, core.ErrNoRoute) || r.Hit != HitMiss {
+			t.Fatalf("night query %d: hit=%q err=%v, want a no-route miss", k, r.Hit, r.Err)
+		}
 	}
-	if pool.WindowLen() != 0 {
-		t.Fatalf("WindowLen = %d, want 0 (no-route outcomes have no window)", pool.WindowLen())
+	if st := pool.Stats(); st.FamilyBuilds != 0 || st.SkelFamilies != 0 {
+		t.Fatalf("no-route misses built families: %v", st)
 	}
 	// The exact cache still covers the identical repeat.
-	if r := pool.route(nil, q); r.Hit != HitExact {
-		t.Fatalf("repeat: hit=%q, want exact", r.Hit)
-	}
-	// A same-slot shifted no-route query is a plain miss — never a false
-	// window answer.
-	q2 := q
-	q2.At = temporal.Clock(21, 0, 0)
-	if r := pool.route(nil, q2); r.Hit != HitMiss || !errors.Is(r.Err, core.ErrNoRoute) {
-		t.Fatalf("shifted no-route: hit=%q err=%v", r.Hit, r.Err)
+	if r := pool.route(nil, demoQuery(0, temporal.Clock(20, 0, 0))); r.Hit != HitExact || !errors.Is(r.Err, core.ErrNoRoute) {
+		t.Fatalf("repeat: hit=%q err=%v, want an exact no-route", r.Hit, r.Err)
 	}
 }
 
 func TestWindowPoolSwapDropsStore(t *testing.T) {
 	g, v := windowDemoVenue(t)
-	pool := New(g, Options{Engine: core.Options{Method: core.MethodAsyn}, WindowCache: true})
-	q := core.Query{Source: geom.Pt(5, 5, 0), Target: geom.Pt(15, 5, 0), At: temporal.Clock(12, 0, 0)}
-	if r := pool.route(nil, q); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if pool.WindowLen() != 1 {
-		t.Fatalf("WindowLen = %d, want 1", pool.WindowLen())
-	}
+	pool := skelPool(g, 0)
+	buildDemoFamily(t, pool)
 
 	// Close the door for the day: the swap must drop the whole store and
-	// post-swap queries must never see the pre-swap window.
+	// post-swap queries must never see the pre-swap family.
 	did, _ := v.DoorByName("d")
 	night := temporal.MustSchedule(temporal.MustInterval(temporal.Clock(2, 0, 0), temporal.Clock(3, 0, 0)))
 	if err := pool.UpdateSchedules(map[model.DoorID]temporal.Schedule{did: night}); err != nil {
 		t.Fatal(err)
 	}
-	if pool.WindowLen() != 0 {
-		t.Fatalf("WindowLen = %d after swap, want 0", pool.WindowLen())
+	if st := pool.Stats(); st.SkelFamilies != 0 {
+		t.Fatalf("SkelFamilies = %d after swap, want 0", st.SkelFamilies)
 	}
-	q2 := q
-	q2.At = temporal.Clock(12, 30, 0)
-	r := pool.route(nil, q2)
+	r := pool.route(nil, demoQuery(4, temporal.Clock(12, 30, 0)))
 	if r.Hit != HitMiss || !errors.Is(r.Err, core.ErrNoRoute) {
 		t.Fatalf("post-swap: hit=%q err=%v, want a fresh no-route", r.Hit, r.Err)
 	}
 }
 
+// TestWindowPoolInvalidateSlot: InvalidateSlot drops exactly the
+// families whose slot window overlaps the slot, and InvalidateCache
+// drops the rest together with the exact cache.
 func TestWindowPoolInvalidateSlot(t *testing.T) {
-	g, _ := windowDemoVenue(t)
-	pool := New(g, Options{Engine: core.Options{Method: core.MethodAsyn}, WindowCache: true})
-	qOpen := core.Query{Source: geom.Pt(5, 5, 0), Target: geom.Pt(15, 5, 0), At: temporal.Clock(12, 0, 0)}
-	qSame := core.Query{Source: geom.Pt(2, 5, 0), Target: geom.Pt(8, 5, 0), At: temporal.Clock(20, 0, 0)}
-	if r := pool.route(nil, qOpen); r.Err != nil {
-		t.Fatal(r.Err)
+	g := sweepVenue(t)
+	pool := skelPool(g, 0)
+	// room0 -> room1 crosses the always-open d1, so the pair has a
+	// family in every slot; build the 4:00 and the 12:00 ones.
+	pairQuery := func(k int, at temporal.TimeOfDay) core.Query {
+		d := float64(k) / 2
+		return core.Query{Source: geom.Pt(5-d, 5, 0), Target: geom.Pt(15+d, 5, 0), At: at}
 	}
-	if r := pool.route(nil, qSame); r.Err != nil { // same-partition path, slot [16,24)
-		t.Fatal(r.Err)
+	early, noon := temporal.Clock(4, 0, 0), temporal.Clock(12, 0, 0)
+	for _, at := range []temporal.TimeOfDay{early, noon} {
+		for k := 0; k < 2; k++ {
+			if r := pool.route(nil, pairQuery(k, at)); r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
 	}
-	if pool.WindowLen() != 2 {
-		t.Fatalf("WindowLen = %d, want 2", pool.WindowLen())
+	if st := pool.Stats(); st.SkelFamilies != 2 {
+		t.Fatalf("SkelFamilies = %d, want 2", st.SkelFamilies)
 	}
-
-	// Invalidating the [0,8) slot touches neither window.
-	pool.InvalidateSlot(0)
-	if pool.WindowLen() != 2 {
-		t.Fatalf("WindowLen = %d after unrelated slot invalidation, want 2", pool.WindowLen())
+	cps := g.Checkpoints()
+	pool.InvalidateSlot(cps.SlotOf(temporal.Clock(21, 0, 0)))
+	if st := pool.Stats(); st.SkelFamilies != 2 {
+		t.Fatalf("SkelFamilies = %d after unrelated slot invalidation, want 2", st.SkelFamilies)
 	}
-	// Invalidating the [8,16) slot drops exactly the door-crossing one.
-	pool.InvalidateSlot(g.Checkpoints().SlotOf(qOpen.At))
-	if pool.WindowLen() != 1 {
-		t.Fatalf("WindowLen = %d, want 1", pool.WindowLen())
+	pool.InvalidateSlot(cps.SlotOf(noon))
+	if st := pool.Stats(); st.SkelFamilies != 1 {
+		t.Fatalf("SkelFamilies = %d, want 1", st.SkelFamilies)
 	}
-	q2 := qOpen
-	q2.At = temporal.Clock(13, 0, 0)
-	if r := pool.route(nil, q2); r.Hit != HitMiss {
-		t.Fatalf("post-invalidation: hit=%q, want miss", r.Hit)
+	if r := pool.route(nil, pairQuery(3, temporal.Clock(13, 0, 0))); r.Hit != HitMiss || r.Explain != obs.ReasonOutsideWindows {
+		t.Fatalf("post-invalidation: hit=%q explain=%q, want an outside_windows miss", r.Hit, r.Explain)
+	}
+	if r := pool.route(nil, pairQuery(3, temporal.Clock(4, 30, 0))); r.Hit != HitSkeleton {
+		t.Fatalf("surviving slot: hit=%q, want skeleton", r.Hit)
 	}
 	pool.InvalidateCache()
-	if pool.WindowLen() != 0 || pool.CacheLen() != 0 {
-		t.Fatalf("windows=%d exact=%d after InvalidateCache", pool.WindowLen(), pool.CacheLen())
+	if st := pool.Stats(); st.SkelFamilies != 0 || pool.CacheLen() != 0 {
+		t.Fatalf("families=%d exact=%d after InvalidateCache", st.SkelFamilies, pool.CacheLen())
 	}
 }
 
@@ -246,11 +265,12 @@ func sweepVenue(t testing.TB) *itgraph.Graph {
 	return itgraph.MustNew(b.MustBuild())
 }
 
-// TestWindowPoolSweepByteIdentical is the subsystem's oracle bar: a
-// fine departure-time sweep through a window-cache pool answers
-// byte-identically to a sequential engine, for every method, while
-// actually serving window hits. The random grid venue adds adversarial
-// breadth (random schedules, directionality, private rooms).
+// TestWindowPoolSweepByteIdentical is the family store's oracle bar
+// on time sweeps: a fine departure-time sweep through a skeleton-cache
+// pool answers byte-identically to a sequential engine, for every
+// method, while actually serving skeleton hits. The random grid venue
+// adds adversarial breadth (random schedules, directionality, private
+// rooms).
 func TestWindowPoolSweepByteIdentical(t *testing.T) {
 	sweepG := sweepVenue(t)
 	rng := rand.New(rand.NewSource(31))
@@ -273,7 +293,7 @@ func TestWindowPoolSweepByteIdentical(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		for _, method := range []core.Method{core.MethodSyn, core.MethodAsyn, core.MethodStatic} {
-			pool := New(fx.g, Options{Engine: core.Options{Method: method}, WindowCache: true})
+			pool := New(fx.g, Options{Engine: core.Options{Method: method}, SkeletonCache: true})
 			seq := core.NewEngine(fx.g, core.Options{Method: method})
 			for _, od := range fx.ods {
 				for at := temporal.TimeOfDay(0); at < temporal.DaySeconds; at += 900 { // 15 min steps
@@ -297,19 +317,20 @@ func TestWindowPoolSweepByteIdentical(t *testing.T) {
 				}
 			}
 			st := pool.Stats()
-			if fx.name == "sweep" && st.WindowHits == 0 {
-				t.Fatalf("%s/%v: sweep produced no window hits (%v)", fx.name, method, st)
+			if fx.name == "sweep" && st.SkeletonHits == 0 {
+				t.Fatalf("%s/%v: sweep produced no skeleton hits (%v)", fx.name, method, st)
 			}
-			if st.CacheHits+st.WindowHits+st.CacheMisses()+st.Deduped != st.Queries {
-				t.Fatalf("%s/%v: stats do not partition: %v", fx.name, method, st)
+			if st.EngineSearches != st.CacheMisses() {
+				t.Fatalf("%s/%v: engine searches %d, misses %d: %v", fx.name, method, st.EngineSearches, st.CacheMisses(), st)
 			}
 		}
 	}
 }
 
-// TestWindowPoolSweepBeatsExact pins the acceptance criterion: on a
-// departure-time-sweep workload the window cache serves window hits and
-// runs strictly fewer engine searches than the exact-only cache.
+// TestWindowPoolSweepBeatsExact pins the family store on a one-point
+// departure-time sweep: it serves skeleton hits and runs strictly fewer
+// engine runs — searches plus family builds — than the exact-only
+// cache, which runs one search per departure.
 func TestWindowPoolSweepBeatsExact(t *testing.T) {
 	g := sweepVenue(t)
 	var batch []core.Query
@@ -317,42 +338,38 @@ func TestWindowPoolSweepBeatsExact(t *testing.T) {
 		batch = append(batch, core.Query{Source: geom.Pt(5, 5, 0), Target: geom.Pt(55, 5, 0), At: at})
 	}
 	exact := New(g, Options{Engine: core.Options{Method: core.MethodAsyn}, Workers: 1})
-	window := New(g, Options{Engine: core.Options{Method: core.MethodAsyn}, Workers: 1, WindowCache: true})
-	for _, r := range exact.RouteBatch(batch) {
-		if r.Err != nil && !errors.Is(r.Err, core.ErrNoRoute) {
-			t.Fatal(r.Err)
+	skel := skelPool(g, 1)
+	for _, pool := range []*Pool{exact, skel} {
+		for _, r := range pool.RouteBatch(batch) {
+			if r.Err != nil && !errors.Is(r.Err, core.ErrNoRoute) {
+				t.Fatal(r.Err)
+			}
 		}
 	}
-	for _, r := range window.RouteBatch(batch) {
-		if r.Err != nil && !errors.Is(r.Err, core.ErrNoRoute) {
-			t.Fatal(r.Err)
-		}
+	se, ss := exact.Stats(), skel.Stats()
+	if ss.SkeletonHits == 0 {
+		t.Fatalf("skeleton pool served no skeleton hits on a sweep: %v", ss)
 	}
-	se, sw := exact.Stats(), window.Stats()
-	if sw.WindowHits == 0 {
-		t.Fatalf("window pool served no window hits on a sweep: %v", sw)
-	}
-	if sw.CacheMisses() >= se.CacheMisses() {
-		t.Fatalf("window pool ran %d engine searches, exact pool %d — want strictly fewer",
-			sw.CacheMisses(), se.CacheMisses())
+	if runs := ss.EngineSearches + ss.FamilyBuilds; runs >= se.EngineSearches {
+		t.Fatalf("skeleton pool ran %d engine runs, exact pool %d — want strictly fewer", runs, se.EngineSearches)
 	}
 }
 
 // TestWindowPoolBatchComposesWithDedup: inside one batch, identical
 // queries still dedupe (sharing the canonical outcome and provenance)
-// and distinct departures window-hit, all byte-identical to a
-// sequential engine.
+// and later departures of the pair compose from the family an earlier
+// entry built, all byte-identical to a sequential engine.
 func TestWindowPoolBatchComposesWithDedup(t *testing.T) {
 	g, _ := windowDemoVenue(t)
-	pool := New(g, Options{Engine: core.Options{Method: core.MethodAsyn}, Workers: 1, WindowCache: true})
-	od := core.Query{Source: geom.Pt(5, 5, 0), Target: geom.Pt(15, 5, 0)}
-	mk := func(at temporal.TimeOfDay) core.Query { q := od; q.At = at; return q }
+	pool := skelPool(g, 1)
 	batch := []core.Query{
-		mk(temporal.Clock(12, 0, 0)),
-		mk(temporal.Clock(12, 0, 0)), // duplicate → shared
-		mk(temporal.Clock(13, 0, 0)), // same slot → window hit
-		mk(temporal.Clock(13, 0, 0)), // duplicate of the window hit → shared
-		mk(temporal.Clock(7, 0, 0)),  // other slot → miss (no route)
+		demoQuery(0, temporal.Clock(12, 0, 0)),
+		demoQuery(0, temporal.Clock(12, 0, 0)), // duplicate → shared
+		demoQuery(1, temporal.Clock(13, 0, 0)), // repeat miss → builds the family
+		demoQuery(1, temporal.Clock(13, 0, 0)), // duplicate → shared
+		demoQuery(2, temporal.Clock(14, 0, 0)), // same slot → skeleton hit
+		demoQuery(2, temporal.Clock(14, 0, 0)), // duplicate of the hit → shared
+		demoQuery(3, temporal.Clock(7, 0, 0)),  // other slot → miss (no route)
 	}
 	rs := pool.RouteBatch(batch)
 	seq := core.NewEngine(g, core.Options{Method: core.MethodAsyn})
@@ -364,7 +381,8 @@ func TestWindowPoolBatchComposesWithDedup(t *testing.T) {
 		hit    Hit
 		shared bool
 	}{
-		{HitMiss, false}, {HitMiss, true}, {HitWindow, false}, {HitWindow, true}, {HitMiss, false},
+		{HitMiss, false}, {HitMiss, true}, {HitMiss, false}, {HitMiss, true},
+		{HitSkeleton, false}, {HitSkeleton, true}, {HitMiss, false},
 	}
 	for i, want := range wantHits {
 		if rs[i].Hit != want.hit || rs[i].Shared != want.shared {
@@ -372,33 +390,32 @@ func TestWindowPoolBatchComposesWithDedup(t *testing.T) {
 		}
 	}
 	st := pool.Stats()
-	if st.Deduped != 2 || st.WindowHits != 1 {
-		t.Fatalf("stats = %v, want deduped=2 windowHits=1", st)
+	if st.Deduped != 3 || st.SkeletonHits != 1 || st.FamilyBuilds != 1 {
+		t.Fatalf("stats = %v, want deduped=3 skeletonHits=1 familyBuilds=1", st)
 	}
 }
 
+// TestWindowPoolDisabledByDefault: without SkeletonCache — or under the
+// SinglePartitionExpansion ablation, whose families would be unsound —
+// no family is built or served and misses never consult the store.
 func TestWindowPoolDisabledByDefault(t *testing.T) {
 	g, _ := windowDemoVenue(t)
-	pool := New(g, Options{Engine: core.Options{Method: core.MethodAsyn}})
-	q := core.Query{Source: geom.Pt(5, 5, 0), Target: geom.Pt(15, 5, 0), At: temporal.Clock(12, 0, 0)}
-	pool.route(nil, q)
-	q2 := q
-	q2.At = temporal.Clock(13, 0, 0)
-	if r := pool.route(nil, q2); r.Hit != HitMiss {
-		t.Fatalf("default pool served hit=%q for a shifted departure, want miss", r.Hit)
-	}
-	if pool.WindowLen() != 0 {
-		t.Fatalf("WindowLen = %d on a default pool", pool.WindowLen())
-	}
-
-	// Negative WindowCapacity disables the store even with WindowCache
-	// set, mirroring the CacheCapacity convention.
-	off := New(g, Options{Engine: core.Options{Method: core.MethodAsyn}, WindowCache: true, WindowCapacity: -1})
-	off.route(nil, q)
-	if r := off.route(nil, q2); r.Hit != HitMiss {
-		t.Fatalf("disabled window store served hit=%q", r.Hit)
-	}
-	if off.WindowLen() != 0 {
-		t.Fatalf("WindowLen = %d with WindowCapacity -1", off.WindowLen())
+	for _, opts := range []Options{
+		{Engine: core.Options{Method: core.MethodAsyn}},
+		{Engine: core.Options{Method: core.MethodAsyn, SinglePartitionExpansion: true}, SkeletonCache: true},
+	} {
+		pool := New(g, opts)
+		for k := 0; k < 4; k++ {
+			r := pool.route(nil, demoQuery(k, temporal.Clock(12, k, 0)))
+			if r.Err != nil || r.Hit != HitMiss || r.Explain != obs.ReasonNoExactEntry {
+				t.Fatalf("%+v query %d: hit=%q explain=%q err=%v, want a no_exact_entry miss", opts, k, r.Hit, r.Explain, r.Err)
+			}
+		}
+		if st := pool.Stats(); st.FamilyBuilds != 0 || st.SkelFamilies != 0 || st.SkelCapacity != 0 {
+			t.Fatalf("%+v: family store active: %v", opts, st)
+		}
+		if pool.SkeletonCoverage() != nil {
+			t.Fatalf("%+v: coverage reported without a store", opts)
+		}
 	}
 }

@@ -46,9 +46,6 @@ func TestStoreFamilyProbe(t *testing.T) {
 	if s.FamLen() != 2 {
 		t.Fatalf("FamLen = %d, want 2", s.FamLen())
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d: families must not count as point windows", s.Len())
-	}
 }
 
 func TestStoreFamilyOverlapAndEpoch(t *testing.T) {
@@ -79,7 +76,6 @@ func TestStoreFamilyInvalidate(t *testing.T) {
 	s.InsertFamily(key(1, 2), famEntry(0, 1000), s.Epoch())
 	s.InsertFamily(key(1, 2), famEntry(2000, 3000), s.Epoch())
 	s.InsertFamily(key(3, 4), famEntry(0, temporal.DaySeconds), s.Epoch()) // static: full day
-	s.Insert(key(1, 2), pkey(0), entry(2000, 2500), s.Epoch())
 
 	s.InvalidateRange(temporal.Interval{Open: 2100, Close: 2200})
 	if _, kind := s.ProbeFamily(key(1, 2), 500); kind != MissNone {
@@ -91,9 +87,6 @@ func TestStoreFamilyInvalidate(t *testing.T) {
 	if _, kind := s.ProbeFamily(key(3, 4), 50000); kind == MissNone {
 		t.Fatal("full-day family must be dropped by any range")
 	}
-	if _, ok := s.Lookup(key(1, 2), pkey(0), 2200); ok {
-		t.Fatal("overlapping point window survived invalidation")
-	}
 	if s.FamLen() != 1 {
 		t.Fatalf("FamLen = %d, want 1", s.FamLen())
 	}
@@ -102,8 +95,8 @@ func TestStoreFamilyInvalidate(t *testing.T) {
 	}
 
 	s.InvalidateAll()
-	if s.FamLen() != 0 || s.Len() != 0 {
-		t.Fatalf("InvalidateAll left FamLen=%d Len=%d", s.FamLen(), s.Len())
+	if s.FamLen() != 0 {
+		t.Fatalf("InvalidateAll left FamLen=%d", s.FamLen())
 	}
 }
 
@@ -120,17 +113,6 @@ func TestStoreFamilyEviction(t *testing.T) {
 	if got := s.FamEvictions(); got != 6 {
 		t.Fatalf("FamEvictions = %d, want 6", got)
 	}
-	// Point-window capacity is budgeted independently: families at cap
-	// must not force window evictions or vice versa.
-	for i := 0; i < 4; i++ {
-		if !s.Insert(key(0, 1), pkey(float64(i)), entry(temporal.TimeOfDay(i*2000), temporal.TimeOfDay(i*2000+1000)), s.Epoch()) {
-			t.Fatalf("window insert %d refused", i)
-		}
-	}
-	if s.Evictions() != 0 {
-		t.Fatal("family pressure leaked into window evictions")
-	}
-
 	// One hot pair past the cap always keeps its newest family.
 	hot := NewStore(2)
 	k := key(1, 2)
@@ -155,22 +137,16 @@ func TestStoreFamilySkeletonCoverage(t *testing.T) {
 	s.InsertFamily(key(1, 2), fe, s.Epoch())
 	s.InsertFamily(key(1, 2), famEntry(7200, 10800), s.Epoch())
 	s.InsertFamily(key(5, 6), famEntry(0, 1800), s.Epoch())
-	s.Insert(key(9, 9), pkey(0), entry(0, 100), s.Epoch())
 
 	cov := s.SkeletonCoverage()
 	if len(cov) != 2 {
-		t.Fatalf("SkeletonCoverage pairs = %d, want 2 (point-only pair excluded)", len(cov))
+		t.Fatalf("SkeletonCoverage pairs = %d, want 2", len(cov))
 	}
-	if cov[0].Key != key(1, 2) || cov[0].Families != 2 || cov[0].Windows != 3 || cov[0].CoveredSec != 7200 {
+	if cov[0].Key != key(1, 2) || cov[0].Families != 2 || cov[0].Chains != 3 || cov[0].CoveredSec != 7200 {
 		t.Fatalf("coverage[0] = %+v", cov[0])
 	}
-	if cov[1].Key != key(5, 6) || cov[1].Families != 1 || cov[1].Windows != 1 || cov[1].CoveredSec != 1800 {
+	if cov[1].Key != key(5, 6) || cov[1].Families != 1 || cov[1].Chains != 1 || cov[1].CoveredSec != 1800 {
 		t.Fatalf("coverage[1] = %+v", cov[1])
-	}
-	// Window coverage in turn ignores skeleton-only pairs.
-	wcov := s.Coverage()
-	if len(wcov) != 1 || wcov[0].Key != key(9, 9) {
-		t.Fatalf("Coverage = %+v, want the point-only pair alone", wcov)
 	}
 }
 

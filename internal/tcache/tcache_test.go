@@ -4,182 +4,150 @@ import (
 	"sync"
 	"testing"
 
-	"indoorpath/internal/geom"
 	"indoorpath/internal/model"
 	"indoorpath/internal/temporal"
 )
 
 func key(a, b int) Key { return Key{Src: model.PartitionID(a), Tgt: model.PartitionID(b)} }
 
-func pkey(x float64) PointKey {
-	return PointKey{Src: geom.Pt(x, 0, 0), Tgt: geom.Pt(x+1, 0, 0), Speed: 1.39}
-}
-
-func entry(open, close temporal.TimeOfDay) *Entry {
-	return &Entry{
-		Window:     temporal.Interval{Open: open, Close: close},
-		Doors:      []model.DoorID{1},
-		Partitions: []model.PartitionID{0, 1},
-		Length:     10,
-		Dists:      []float64{5},
-	}
-}
-
 func TestStoreLookup(t *testing.T) {
 	s := NewStore(0)
-	k, pk := key(1, 2), pkey(0)
-	if _, ok := s.Lookup(k, pk, 100); ok {
-		t.Fatal("lookup on empty store hit")
-	}
-	// Three disjoint windows inserted out of order.
+	k := key(1, 2)
+	// Three disjoint slot families inserted out of order.
 	for _, iv := range [][2]temporal.TimeOfDay{{3600, 7200}, {0, 1800}, {10000, 20000}} {
-		if !s.Insert(k, pk, entry(iv[0], iv[1]), s.Epoch()) {
+		if !s.InsertFamily(k, famEntry(iv[0], iv[1]), s.Epoch()) {
 			t.Fatalf("insert [%v, %v) failed", iv[0], iv[1])
 		}
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
+	if s.FamLen() != 3 {
+		t.Fatalf("FamLen = %d, want 3", s.FamLen())
 	}
 	cases := []struct {
 		at   temporal.TimeOfDay
-		want temporal.TimeOfDay // Open of the expected window; -1 = miss
+		want temporal.TimeOfDay // Open of the expected family; -1 = miss
 	}{
 		{0, 0}, {1799, 0}, {1800, -1}, {3599, -1},
 		{3600, 3600}, {5000, 3600}, {7200, -1},
 		{15000, 10000}, {19999.5, 10000}, {20000, -1}, {86399, -1},
 	}
 	for _, tc := range cases {
-		e, ok := s.Lookup(k, pk, tc.at)
-		if (tc.want < 0) == ok {
-			t.Fatalf("Lookup(%v): hit=%v, want hit=%v", tc.at, ok, tc.want >= 0)
+		fe, kind := s.ProbeFamily(k, tc.at)
+		if (tc.want < 0) == (kind == MissNone) {
+			t.Fatalf("ProbeFamily(%v): kind=%v, want hit=%v", tc.at, kind, tc.want >= 0)
 		}
-		if ok && e.Window.Open != tc.want {
-			t.Fatalf("Lookup(%v) window opens %v, want %v", tc.at, e.Window.Open, tc.want)
+		if kind == MissNone && fe.Window.Open != tc.want {
+			t.Fatalf("ProbeFamily(%v) window opens %v, want %v", tc.at, fe.Window.Open, tc.want)
 		}
 	}
-	// Other point families and buckets stay separate.
-	if _, ok := s.Lookup(k, pkey(9), 100); ok {
-		t.Fatal("different point key hit")
-	}
-	if _, ok := s.Lookup(key(2, 1), pk, 100); ok {
-		t.Fatal("different bucket hit")
-	}
-	// Speed is part of the family identity.
-	pk2 := pk
-	pk2.Speed = 2.0
-	if _, ok := s.Lookup(k, pk2, 100); ok {
-		t.Fatal("different speed hit")
+	// The reversed pair is a different bucket.
+	if _, kind := s.ProbeFamily(key(2, 1), 100); kind == MissNone {
+		t.Fatal("reversed pair hit")
 	}
 }
 
 func TestStoreOverlapDropped(t *testing.T) {
 	s := NewStore(0)
-	k, pk := key(1, 2), pkey(0)
-	if !s.Insert(k, pk, entry(1000, 2000), s.Epoch()) {
+	k := key(1, 2)
+	if !s.InsertFamily(k, famEntry(1000, 2000), s.Epoch()) {
 		t.Fatal("first insert failed")
 	}
 	for _, iv := range [][2]temporal.TimeOfDay{{1000, 2000}, {500, 1001}, {1999, 3000}, {1200, 1300}} {
-		if s.Insert(k, pk, entry(iv[0], iv[1]), s.Epoch()) {
+		if s.InsertFamily(k, famEntry(iv[0], iv[1]), s.Epoch()) {
 			t.Fatalf("overlapping [%v, %v) was stored", iv[0], iv[1])
 		}
 	}
-	// Abutting windows are disjoint and fine.
-	if !s.Insert(k, pk, entry(2000, 2500), s.Epoch()) || !s.Insert(k, pk, entry(500, 1000), s.Epoch()) {
-		t.Fatal("abutting windows rejected")
+	// Abutting slots are disjoint and fine.
+	if !s.InsertFamily(k, famEntry(2000, 2500), s.Epoch()) || !s.InsertFamily(k, famEntry(500, 1000), s.Epoch()) {
+		t.Fatal("abutting families rejected")
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
+	if s.FamLen() != 3 {
+		t.Fatalf("FamLen = %d, want 3", s.FamLen())
 	}
-	// Degenerate windows are refused.
-	if s.Insert(k, pk, entry(3000, 3000), s.Epoch()) || s.Insert(k, pk, nil, s.Epoch()) {
-		t.Fatal("degenerate insert accepted")
+	// A family without a chain table is refused.
+	fe := famEntry(3000, 4000)
+	fe.Fam = nil
+	if s.InsertFamily(k, fe, s.Epoch()) {
+		t.Fatal("family without chains accepted")
 	}
 }
 
 func TestStoreInvalidateRange(t *testing.T) {
 	s := NewStore(0)
-	k, pk := key(1, 2), pkey(0)
-	s.Insert(k, pk, entry(0, 1000), s.Epoch())
-	s.Insert(k, pk, entry(2000, 3000), s.Epoch())
-	s.Insert(k, pk, entry(5000, 6000), s.Epoch())
-	s.Insert(key(3, 4), pkey(7), entry(0, temporal.DaySeconds), s.Epoch()) // full-day (static)
+	k := key(1, 2)
+	s.InsertFamily(k, famEntry(0, 1000), s.Epoch())
+	s.InsertFamily(k, famEntry(2000, 3000), s.Epoch())
+	s.InsertFamily(k, famEntry(5000, 6000), s.Epoch())
 
-	// A range touching only the middle window (and the full-day one).
+	// A range touching only the middle family.
 	s.InvalidateRange(temporal.Interval{Open: 2500, Close: 2600})
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 after range invalidation", s.Len())
+	if s.FamLen() != 2 {
+		t.Fatalf("FamLen = %d, want 2 after range invalidation", s.FamLen())
 	}
-	if _, ok := s.Lookup(k, pk, 2500); ok {
-		t.Fatal("overlapping window survived")
+	if _, kind := s.ProbeFamily(k, 2500); kind != MissOutsideWindows {
+		t.Fatalf("probe in the dropped slot = %v, want MissOutsideWindows", kind)
 	}
-	if _, ok := s.Lookup(k, pk, 500); !ok {
-		t.Fatal("non-overlapping window dropped")
+	for _, at := range []temporal.TimeOfDay{500, 5500} {
+		if _, kind := s.ProbeFamily(k, at); kind != MissNone {
+			t.Fatalf("non-overlapping family at %v dropped", at)
+		}
 	}
-	if _, ok := s.Lookup(key(3, 4), pkey(7), 43200); ok {
-		t.Fatal("full-day window must be dropped by any range invalidation")
+	// Dropping a pair's last family removes the pair.
+	s.InvalidateRange(temporal.Interval{Open: 0, Close: temporal.DaySeconds})
+	if _, kind := s.ProbeFamily(k, 500); kind != MissFamilyAbsent {
+		t.Fatalf("emptied pair probe = %v, want MissFamilyAbsent", kind)
 	}
-
-	s.InvalidateAll()
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d after InvalidateAll", s.Len())
+	if len(s.SkeletonCoverage()) != 0 {
+		t.Fatal("emptied pair still listed in coverage")
 	}
 }
 
 func TestStoreEpochGuard(t *testing.T) {
 	s := NewStore(0)
-	k, pk := key(1, 2), pkey(0)
+	k := key(1, 2)
 	epoch := s.Epoch()
-	// An invalidation lands between the epoch capture and the insert —
+	// An InvalidateAll lands between the epoch capture and the insert —
 	// the insert must be discarded.
-	s.InvalidateRange(temporal.Interval{Open: 0, Close: 1})
-	if s.Insert(k, pk, entry(1000, 2000), epoch) {
+	s.InvalidateAll()
+	if s.InsertFamily(k, famEntry(1000, 2000), epoch) {
 		t.Fatal("stale insert accepted after invalidation")
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", s.Len())
+	if s.FamLen() != 0 {
+		t.Fatalf("FamLen = %d, want 0", s.FamLen())
 	}
-	if !s.Insert(k, pk, entry(1000, 2000), s.Epoch()) {
+	if !s.InsertFamily(k, famEntry(1000, 2000), s.Epoch()) {
 		t.Fatal("fresh insert rejected")
 	}
 }
 
 func TestStoreEviction(t *testing.T) {
 	s := NewStore(4)
-	// Five OD buckets, one window each: eviction must shed whole buckets
-	// but never the one just written.
+	// Five OD buckets, one family each: eviction must never shed the
+	// family just written.
 	for i := 0; i < 5; i++ {
 		k := key(i, i+1)
-		if !s.Insert(k, pkey(0), entry(0, 1000), s.Epoch()) {
+		if !s.InsertFamily(k, famEntry(0, 1000), s.Epoch()) {
 			t.Fatalf("insert %d failed", i)
 		}
-		if s.Len() > 4 {
-			t.Fatalf("Len = %d beyond capacity", s.Len())
+		if s.FamLen() > 4 {
+			t.Fatalf("FamLen = %d beyond capacity", s.FamLen())
 		}
-		if _, ok := s.Lookup(k, pkey(0), 500); !ok {
-			t.Fatalf("entry %d evicted immediately after insert", i)
+		if _, kind := s.ProbeFamily(k, 500); kind != MissNone {
+			t.Fatalf("family %d evicted immediately after insert", i)
 		}
 	}
-	// A hot single bucket larger than the capacity keeps its newest.
-	hot := NewStore(2)
-	k := key(9, 9)
-	for i := 0; i < 6; i++ {
-		open := temporal.TimeOfDay(i * 1000)
-		if !hot.Insert(k, pkey(0), entry(open, open+500), hot.Epoch()) {
-			t.Fatalf("hot insert %d failed", i)
-		}
-		if hot.Len() > 2 {
-			t.Fatalf("hot Len = %d beyond capacity", hot.Len())
-		}
-		if _, ok := hot.Lookup(k, pkey(0), open+100); !ok {
-			t.Fatalf("hot entry %d evicted immediately after insert", i)
-		}
+	if got := s.FamEvictions(); got != 1 {
+		t.Fatalf("FamEvictions = %d, want 1", got)
+	}
+	if got := len(s.SkeletonCoverage()); got != 4 {
+		t.Fatalf("coverage lists %d pairs, want 4 (the evicted pair's bucket is gone)", got)
 	}
 }
 
 func TestStoreConcurrency(t *testing.T) {
-	// Smoke the lock discipline: concurrent inserts, lookups and
-	// invalidations over a small store (meaningful under -race).
-	s := NewStore(64)
+	// Smoke the lock discipline: concurrent inserts, probes, coverage
+	// scrapes and full invalidations over a small store (meaningful
+	// under -race).
+	s := NewStore(16)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -188,17 +156,20 @@ func TestStoreConcurrency(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := key(w%3, i%5)
 				open := temporal.TimeOfDay((i % 20) * 4000)
-				s.Insert(k, pkey(float64(w)), entry(open, open+3000), s.Epoch())
-				s.Lookup(k, pkey(float64(w)), open+1500)
-				if i%50 == 0 {
-					s.InvalidateRange(temporal.Interval{Open: open, Close: open + 1})
+				s.InsertFamily(k, famEntry(open, open+3000), s.Epoch())
+				s.ProbeFamily(k, open+1500)
+				if i%25 == 0 {
+					s.SkeletonCoverage()
+				}
+				if i%70 == 0 {
+					s.InvalidateAll()
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if s.Len() > 64 {
-		t.Fatalf("Len = %d beyond capacity", s.Len())
+	if s.FamLen() > 16 {
+		t.Fatalf("FamLen = %d beyond capacity", s.FamLen())
 	}
 }
 
@@ -207,57 +178,60 @@ func TestStoreSizeAccounting(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 3; j++ {
 			open := temporal.TimeOfDay(j * 2000)
-			s.Insert(key(i, i), pkey(0), entry(open, open+1000), s.Epoch())
+			s.InsertFamily(key(i, i+1), famEntry(open, open+1000), s.Epoch())
 		}
 	}
-	if s.Len() != 30 {
-		t.Fatalf("Len = %d, want 30", s.Len())
+	if s.FamLen() != 30 {
+		t.Fatalf("FamLen = %d, want 30", s.FamLen())
 	}
 	s.InvalidateRange(temporal.Interval{Open: 0, Close: 500})
-	if s.Len() != 20 {
-		t.Fatalf("Len = %d after invalidating one window per bucket, want 20", s.Len())
+	if s.FamLen() != 20 {
+		t.Fatalf("FamLen = %d after invalidating one family per bucket, want 20", s.FamLen())
+	}
+	total := 0
+	for _, pc := range s.SkeletonCoverage() {
+		total += pc.Families
+	}
+	if total != 20 {
+		t.Fatalf("coverage sums %d families, FamLen says 20", total)
 	}
 	// Fill far past a tiny capacity and confirm the bound holds.
 	tiny := NewStore(3)
 	for i := 0; i < 50; i++ {
-		tiny.Insert(key(i, 0), pkey(0), entry(0, 1000), tiny.Epoch())
-		if got := tiny.Len(); got > 3 {
-			t.Fatalf("tiny Len = %d beyond capacity", got)
+		tiny.InsertFamily(key(i, 0), famEntry(0, 1000), tiny.Epoch())
+		if got := tiny.FamLen(); got > 3 {
+			t.Fatalf("tiny FamLen = %d beyond capacity", got)
 		}
+	}
+	if got := tiny.FamEvictions(); got != 47 {
+		t.Fatalf("tiny FamEvictions = %d, want 47", got)
+	}
+	if tiny.Cap() != 3 {
+		t.Fatalf("Cap = %d, want 3", tiny.Cap())
 	}
 }
 
 func TestStoreProbeMissKinds(t *testing.T) {
 	s := NewStore(0)
-	k, pk := key(1, 2), pkey(0)
+	k := key(1, 2)
 
-	// Empty store: the family was never cached.
-	if e, mk := s.Probe(k, pk, 100); e != nil || mk != MissFamilyAbsent {
-		t.Fatalf("empty store Probe = (%v, %v), want (nil, MissFamilyAbsent)", e, mk)
+	// Empty store: the pair was never built.
+	if fe, mk := s.ProbeFamily(k, 100); fe != nil || mk != MissFamilyAbsent {
+		t.Fatalf("empty store probe = (%v, %v), want (nil, MissFamilyAbsent)", fe, mk)
 	}
-	if !s.Insert(k, pk, entry(3600, 7200), s.Epoch()) {
+	if !s.InsertFamily(k, famEntry(3600, 7200), s.Epoch()) {
 		t.Fatal("insert failed")
 	}
-
-	// Hit inside the stored window.
-	if e, mk := s.Probe(k, pk, 5000); e == nil || mk != MissNone {
-		t.Fatalf("Probe(5000) = (%v, %v), want hit", e, mk)
+	// Hit inside the stored slot.
+	if fe, mk := s.ProbeFamily(k, 5000); fe == nil || mk != MissNone {
+		t.Fatalf("probe(5000) = (%v, %v), want hit", fe, mk)
 	}
-	// Family exists, departure outside every window.
-	if e, mk := s.Probe(k, pk, 100); e != nil || mk != MissOutsideWindows {
-		t.Fatalf("Probe(100) = (%v, %v), want (nil, MissOutsideWindows)", e, mk)
+	// Pair built, departure outside every family's slot.
+	if fe, mk := s.ProbeFamily(k, 100); fe != nil || mk != MissOutsideWindows {
+		t.Fatalf("probe(100) = (%v, %v), want (nil, MissOutsideWindows)", fe, mk)
 	}
-	// Same bucket, different point family: family absent, not
-	// outside-windows.
-	if e, mk := s.Probe(k, pkey(9), 5000); e != nil || mk != MissFamilyAbsent {
-		t.Fatalf("Probe(other family) = (%v, %v), want (nil, MissFamilyAbsent)", e, mk)
-	}
-	// Different bucket entirely.
-	if e, mk := s.Probe(key(2, 1), pk, 5000); e != nil || mk != MissFamilyAbsent {
-		t.Fatalf("Probe(other bucket) = (%v, %v), want (nil, MissFamilyAbsent)", e, mk)
-	}
-	// Lookup stays the thin wrapper.
-	if _, ok := s.Lookup(k, pk, 5000); !ok {
-		t.Fatal("Lookup lost the hit")
+	// Different pair entirely.
+	if fe, mk := s.ProbeFamily(key(2, 3), 5000); fe != nil || mk != MissFamilyAbsent {
+		t.Fatalf("probe(other pair) = (%v, %v), want (nil, MissFamilyAbsent)", fe, mk)
 	}
 }
