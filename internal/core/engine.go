@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"indoorpath/internal/dmat"
 	"indoorpath/internal/geom"
 	"indoorpath/internal/itgraph"
 	"indoorpath/internal/model"
@@ -423,6 +424,13 @@ func (e *Engine) expand(q Query, w model.PartitionID, anchor model.DoorID, h int
 			checkEach = false
 		}
 	}
+	// Resolve the anchor's DM row once; each relaxed door then costs
+	// one slot scan and one slab read.
+	var row dmat.Row
+	useRow := anchor != model.NoDoor && !e.opts.NoDistanceMatrix
+	if useRow {
+		row = e.g.DM().Row(w, anchor)
+	}
 	for _, dj := range doors {
 		hj := int32(dj)
 		// Skip settled doors, and doors that lead only to private
@@ -431,9 +439,12 @@ func (e *Engine) expand(q Query, w model.PartitionID, anchor model.DoorID, h int
 			continue
 		}
 		var leg float64
-		if anchor == model.NoDoor {
+		switch {
+		case useRow:
+			leg = row.Dist(dj)
+		case anchor == model.NoDoor:
 			leg = e.g.DM().PointToDoor(w, q.Source, dj)
-		} else {
+		default:
 			leg = e.legDist(w, anchor, dj)
 		}
 		if math.IsInf(leg, 1) {

@@ -136,8 +136,8 @@ func TestDistUnknownDoor(t *testing.T) {
 	if _, ok := m.Dist(ds[4], ds[0]); ok {
 		t.Error("Dist with unattached door must report !ok")
 	}
-	if m.MemoryBytes() <= 0 {
-		t.Error("MemoryBytes must be positive")
+	if len(m.Doors()) != 4 || m.Doors()[3] != ds[3] {
+		t.Errorf("hall matrix doors = %v", m.Doors())
 	}
 }
 

@@ -68,7 +68,7 @@ func (g *Graph) Snapshots() *SnapshotSeries { return g.snaps }
 type VertexLabel struct {
 	ID   model.PartitionID
 	Kind model.PartitionKind
-	DM   *dmat.Matrix
+	DM   dmat.Matrix
 }
 
 // VertexLabel returns the label of partition p.

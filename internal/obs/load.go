@@ -23,12 +23,10 @@ import (
 // the reverse.
 
 const (
-	// loadRingSize is the bucket count; a power of two so the wall
-	// second maps to a slot with a mask. 512 buckets > the 300 s
-	// retention, so a slot is never reused while still inside any
-	// window.
-	loadRingSize = 512
-	loadRingMask = loadRingSize - 1
+	// loadRingSize is the bucket count: the 300 s retention plus a
+	// 20 s rotation margin, so a slot is never reused while still
+	// inside any window. The wall second maps to slot sec % size.
+	loadRingSize = LoadRetentionSec + 20
 
 	// LoadRetentionSec bounds how far back windowed views may reach.
 	LoadRetentionSec = 300
@@ -166,7 +164,7 @@ func (r *LoadRing) clockSec() int64 {
 // the same second spin until the claim resolves, so a feed can never
 // land in a half-zeroed bucket.
 func (r *LoadRing) bucket(sec int64) *loadBucket {
-	b := &r.buckets[sec&loadRingMask]
+	b := &r.buckets[uint64(sec)%loadRingSize]
 	for {
 		cur := b.sec.Load()
 		if cur == sec {
@@ -249,7 +247,7 @@ func (r *LoadRing) Windows(spans []int) []LoadSample {
 	now := r.clockSec()
 	var c [numLoadSignals]int64
 	for sec := now - int64(maxSpan) + 1; sec <= now; sec++ {
-		b := &r.buckets[sec&loadRingMask]
+		b := &r.buckets[uint64(sec)%loadRingSize]
 		if b.sec.Load() != sec {
 			continue
 		}

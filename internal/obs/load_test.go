@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // fakeClock pins a LoadRing to a controllable wall second.
@@ -100,7 +101,7 @@ func TestLoadRingGapBeyondRetention(t *testing.T) {
 // seam (second index wrapping back to slot 0) and a slot being reused
 // exactly one revolution later.
 func TestLoadRingStraddleRotation(t *testing.T) {
-	start := int64(loadRingSize*4000 - 1) // slot 511; next second wraps to slot 0
+	start := int64(loadRingSize*4000 - 1) // last slot; next second wraps to slot 0
 	r := NewLoadRing()
 	var clk fakeClock
 	clk.install(r, start)
@@ -116,7 +117,7 @@ func TestLoadRingStraddleRotation(t *testing.T) {
 
 	// One full revolution later the same slots are reused: the stale
 	// tallies must be zeroed on first touch, not added to.
-	clk.advance(loadRingSize - 1) // back to slot 511, one revolution on
+	clk.advance(loadRingSize - 1) // back to the last slot, one revolution on
 	r.Feed(LoadSample{Queries: 7})
 	w10, _, w300 := windows(r)
 	if w10.Queries != 7 || w10.ExactHits != 0 {
@@ -222,6 +223,20 @@ func TestLoadRingFeedZeroAlloc(t *testing.T) {
 	var nilRing *LoadRing
 	if n := testing.AllocsPerRun(50, func() { nilRing.Feed(s) }); n != 0 {
 		t.Fatalf("nil-ring Feed allocates %.1f per op, want 0", n)
+	}
+}
+
+// TestLoadRingFootprint pins the ring at its retention-sized bucket
+// count: 320 one-second buckets of 20 counters cover the 300 s windows
+// with a rotation margin. A pool keeps one ring per engine method, so a
+// ring sized past its retention costs every served venue.
+func TestLoadRingFootprint(t *testing.T) {
+	if loadRingSize <= LoadRetentionSec {
+		t.Fatalf("ring of %d buckets cannot hold the %d s retention", loadRingSize, LoadRetentionSec)
+	}
+	const maxBytes = 320*(numLoadSignals+1)*8 + 8 // buckets + clock hook
+	if got := unsafe.Sizeof(LoadRing{}); got > maxBytes {
+		t.Fatalf("LoadRing is %d bytes, want at most %d", got, maxBytes)
 	}
 }
 

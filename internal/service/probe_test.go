@@ -3,6 +3,7 @@ package service
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"indoorpath/internal/core"
 	"indoorpath/internal/geom"
@@ -150,5 +151,49 @@ func TestPoolProbeTraced(t *testing.T) {
 	}
 	if doc := tr.Doc(obs.RequestInfo{}); len(doc.Spans) != 1 || doc.Spans[0].Stage != "probe" {
 		t.Fatalf("probe hit spans = %+v, want one probe span", doc.Spans)
+	}
+}
+
+// TestPoolProbeSkipsPendingBuild: Probe runs on the request goroutine
+// before any deadline applies, so a pair whose family build is in
+// flight must read as a prompt miss, not wait out the build.
+func TestPoolProbeSkipsPendingBuild(t *testing.T) {
+	g, _ := windowDemoVenue(t)
+	pool := New(g, Options{Engine: core.Options{Method: core.MethodAsyn}, SkeletonCache: true})
+	q := core.Query{Source: geom.Pt(5, 5, 0), Target: geom.Pt(15, 5, 0), At: temporal.Clock(12, 0, 0)}
+	b := pool.backend.Load()
+	key, _, cacheable := keysFor(b, q)
+	if !cacheable || key.src == key.tgt {
+		t.Fatalf("query must cross a cacheable partition pair: key %+v", key)
+	}
+	fk := pool.familyKey(key)
+	b.evidence.repeat(fk)
+	if !b.evidence.claimBuild(fk) {
+		t.Fatal("could not claim the family build")
+	}
+	defer b.evidence.endBuild(fk)
+	if b.evidence.pending(fk) == nil {
+		t.Fatal("claimed build is not pending")
+	}
+
+	type probed struct {
+		r  Result
+		ok bool
+	}
+	done := make(chan probed, 1)
+	go func() {
+		r, ok := pool.Probe(nil, q)
+		done <- probed{r, ok}
+	}()
+	select {
+	case got := <-done:
+		if got.ok {
+			t.Fatalf("probe hit %q while the family was still being built", got.r.Hit)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Probe blocked on an in-flight family build")
+	}
+	if st := pool.Stats(); st.Queries != 0 {
+		t.Fatalf("a probe miss booked %d queries", st.Queries)
 	}
 }

@@ -610,17 +610,21 @@ func (p *Pool) RouteTraced(tr *obs.Trace, q core.Query) Result {
 
 // Probe answers q from the answer tiers alone — exact, then skeleton —
 // on the caller's goroutine, without checking out an engine. It pins
-// one backend, so a hit reflects one schedule set in full. A hit books one query and one hit, exactly as Route would have
-// booked it, and records a probe span on tr. A miss books nothing and
-// records nothing: the search path that answers it (Route, or a
-// coalescer flush) probes again and accounts for it there. This is the
-// coalescer's probe-before-hold step: only misses need to wait for a
-// batch.
+// one backend, so a hit reflects one schedule set in full. A hit books
+// one query and one hit, exactly as Route would have booked it, and
+// records a probe span on tr. A miss books nothing and records nothing:
+// the search path that answers it (Route, or a coalescer flush) probes
+// again and accounts for it there. This is the coalescer's
+// probe-before-hold step: only misses need to wait for a batch. Probe
+// itself never waits. The daemon calls it before the request timeout
+// starts, so a pair whose family is still being built reads as a miss
+// here, and the search path, run under the timeout, waits for the
+// build.
 func (p *Pool) Probe(tr *obs.Trace, q core.Query) (Result, bool) {
 	b := p.backend.Load()
 	key, ekey, cacheable := keysFor(b, q)
 	sp := tr.Start(obs.StageProbe)
-	r, ok, _, _, _ := p.lookupCaches(b, q, key, ekey, cacheable)
+	r, ok, _, _, _ := p.lookupCaches(b, q, key, ekey, cacheable, false)
 	if !ok {
 		return Result{}, false
 	}
@@ -644,7 +648,7 @@ func (p *Pool) route(tr *obs.Trace, q core.Query) Result {
 func (p *Pool) routeKeyed(tr *obs.Trace, b *poolBackend, q core.Query, key cacheKey, ekey entryKey, cacheable bool) Result {
 	p.queries.Add(1)
 	sp := tr.Start(obs.StageProbe)
-	r, ok, epoch, fepoch, reason := p.lookupCaches(b, q, key, ekey, cacheable)
+	r, ok, epoch, fepoch, reason := p.lookupCaches(b, q, key, ekey, cacheable, true)
 	if ok {
 		p.noteHit(key, r.Hit)
 	}
@@ -717,10 +721,10 @@ type planAttrs struct {
 //
 // Probe order is cheapest-first: an exact hit is a map step, a
 // skeleton hit a composition over the family's chains (two
-// distance-matrix reads per chain). Neither checks out an engine. A
-// query whose family is being built by another miss waits for that
-// build and composes from it.
-func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey entryKey, cacheable bool) (Result, bool, uint64, uint64, obs.Reason) {
+// distance-matrix reads per chain). Neither checks out an engine. With
+// wait set, a query whose family is being built by another miss waits
+// for that build and composes from it; without, it misses.
+func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey entryKey, cacheable, wait bool) (Result, bool, uint64, uint64, obs.Reason) {
 	if !cacheable {
 		return Result{}, false, 0, 0, obs.ReasonUncacheable
 	}
@@ -738,7 +742,7 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 	}
 	fepoch := b.families.Epoch()
 	fe, mk := b.families.ProbeFamily(famKey(key), ekey.at)
-	if fe == nil {
+	if fe == nil && wait {
 		if done := b.evidence.pending(p.familyKey(key)); done != nil {
 			// The family this query needs is being built: a build costs
 			// several searches, so wait for it and compose rather than
@@ -1167,7 +1171,7 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 	for _, m := range grp.Members {
 		i := items[m].Index
 		p.queries.Add(1)
-		r, ok, epoch, fepoch, reason := p.lookupCaches(b, qs[i], keys[i], ekeys[i], true)
+		r, ok, epoch, fepoch, reason := p.lookupCaches(b, qs[i], keys[i], ekeys[i], true, true)
 		if ok {
 			p.noteHit(keys[i], r.Hit)
 			out[i] = r
